@@ -127,6 +127,23 @@ def _require_data(cfg: TrainConfig) -> None:
         raise PathError(f"config must set {', '.join(missing)}")
 
 
+def _load_data(args) -> tuple[TrainConfig, Path, kg_mod.TripleStore]:
+    """Config, run directory and dataset of a train/eval/route-export run."""
+    cfg = _load_cfg(args)
+    _require_data(cfg)
+    out_dir = _out_dir(args)
+    store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
+    return cfg, out_dir, store
+
+
+def _load_trained(args) -> tuple[TrainConfig, Path, kg_mod.TripleStore,
+                                 KgModel]:
+    """:func:`_load_data` plus the model in ``args.checkpoint``."""
+    cfg, out_dir, store = _load_data(args)
+    model = KgModel(store.n_entities, store.n_relations, cfg)
+    return cfg, out_dir, store, load_model(args.checkpoint, model)
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -173,11 +190,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> None:
-    cfg = _load_cfg(args)
-    _require_data(cfg)
-    out_dir = _out_dir(args)
     t0 = time.perf_counter()
-    store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
+    cfg, out_dir, store = _load_data(args)
     t_load = time.perf_counter() - t0
 
     log_path = out_dir / "epochs.log"
@@ -216,16 +230,8 @@ def _cmd_train(args) -> None:
                    "config": str(out_dir / "config.txt")})
 
 
-def _build_model(cfg: TrainConfig, store) -> KgModel:
-    return KgModel(store.n_entities, store.n_relations, cfg)
-
-
 def _cmd_eval(args) -> None:
-    cfg = _load_cfg(args)
-    _require_data(cfg)
-    out_dir = _out_dir(args)
-    store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
-    model = load_model(args.checkpoint, _build_model(cfg, store))
+    cfg, out_dir, store, model = _load_trained(args)
     t0 = time.perf_counter()
     metrics = evaluate(store, model, args.split)
     t_eval = time.perf_counter() - t0
@@ -301,11 +307,7 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_route_export(args) -> None:
-    cfg = _load_cfg(args)
-    _require_data(cfg)
-    out_dir = _out_dir(args)
-    store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
-    model = load_model(args.checkpoint, _build_model(cfg, store))
+    cfg, out_dir, store, model = _load_trained(args)
     out_path = Path(args.out) if args.out else out_dir / "routing.tsv"
     t0 = time.perf_counter()
     means = export_routing(model, store, args.split, out_path)

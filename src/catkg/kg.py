@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .attention import build_block, parameter_count
 from .config import TrainConfig
-from .errors import (ConfigError, IndexLookupError, ParseError, PathError,
-                     ShapeError)
+from .errors import (ConfigError, IndexLookupError, NumericsError, ParseError,
+                     PathError, ShapeError)
 from .tensor import Tensor
 
 LN3 = float(np.log(3.0))
@@ -135,7 +135,7 @@ class KgModel:
         return params
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
+        return parameter_count(self)
 
     def score(self, heads: np.ndarray, relations: np.ndarray,
               training: bool = False, rng=None):
@@ -193,10 +193,28 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1) -> Tensor:
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if targets.min() < 0 or targets.max() >= n:
         raise IndexLookupError(f"target index out of bounds for {n} classes")
-    logp = T.log_softmax(logits, axis=-1)
-    y = np.full(logits.shape, epsilon / (n - 1))
-    y[np.arange(targets.size), targets] = 1.0 - epsilon
-    return -T.reduce_sum(logp * y, axis=-1).mean()
+    logits = T.as_tensor(logits)
+    # The target row y is `off` everywhere plus `on` at the true tail.
+    off = epsilon / (n - 1)
+    on = 1.0 - epsilon - off
+    rows = np.arange(targets.size)
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(logp)
+    z = e.sum(axis=-1, keepdims=True)
+    logp -= np.log(z)
+    loss = -(on * logp[rows, targets] + off * logp.sum(axis=-1)).mean()
+    out = Tensor(loss, logits.requires_grad)
+
+    def backward_fn(g):
+        # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
+        grad = np.divide(e, z, out=e)  # the tape runs this once: reuse e
+        grad -= off
+        grad[rows, targets] -= on
+        grad *= g / targets.size
+        return (grad,)
+
+    T._record(out, (logits,), backward_fn)
+    return out
 
 
 def routing_entropy(alpha: Tensor) -> Tensor:
@@ -248,14 +266,17 @@ class Metrics:
 def filtered_rank(scores: np.ndarray, t: int, known_tails) -> int:
     """Pessimistic filtered rank of tail ``t`` under ``scores``.
 
-    Known alternative tails are masked to -inf; entities tying with t
-    count as ranked above it, so rank = 1 + |{i != t : s_i >= s_t}|.
+    Known alternative tails are skipped; entities tying with t count as
+    ranked above it, so rank = 1 + |{i != t, i not known : s_i >= s_t}|.
+    It is counted over the whole row minus the known set (t, if known,
+    is added back), which is exact for finite scores; :func:`evaluate`
+    rejects any others.
     """
-    masked = np.array(scores, dtype=np.float64, copy=True)
-    competitors = np.fromiter((i for i in known_tails if i != t), dtype=np.int64)
-    if competitors.size:
-        masked[competitors] = -np.inf
-    return int(np.count_nonzero(masked >= masked[t]))
+    target = scores[t]
+    known = np.fromiter(known_tails, dtype=np.int64, count=len(known_tails))
+    return int(np.count_nonzero(scores >= target)
+               - np.count_nonzero(scores[known] >= target)
+               + (t in known_tails))
 
 
 def evaluate(store: TripleStore, model: KgModel, split: str,
@@ -280,8 +301,12 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
         if collect_alpha and alpha is not None:
             alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)
             alpha_seen = True
-        for row, (h, r, t) in zip(scores, batch):
-            rank = filtered_rank(row, int(t), store.known_tails(int(h), int(r)))
+        for row, (h, r, t) in zip(scores, batch.tolist()):
+            # Checked row by row, while the row is in cache.
+            if not np.isfinite(row).all():
+                raise NumericsError(f"non-finite scores for query ({h}, {r})"
+                                    f" on the {split!r} split")
+            rank = filtered_rank(row, t, store.known_tails(h, r))
             recip_sum += 1.0 / rank
             hits += rank <= 10
     n = int(triples.shape[0])

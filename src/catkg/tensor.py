@@ -10,6 +10,7 @@ domain boundaries and need the headroom.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import threading
 from typing import Callable, Sequence
@@ -277,39 +278,32 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with batched leading dimensions.
+    """Matrix product for the two shapes the package uses.
 
-    1-D operands follow numpy semantics (treated as a row/column vector
-    whose added axis is dropped from the result).
+    ``(..., m, k) @ (k, n)`` shares one weight over every leading index;
+    ``(*batch, m, k) @ (*batch, k, n)`` needs equal batch dimensions. A 1-D
+    operand becomes a row (left) or a column (right) whose added axis is
+    dropped from the result, as in numpy. Nothing else broadcasts.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError("matmul operands must have at least 1 dimension")
-    a2 = a.data[None, :] if a.ndim == 1 else a.data
-    b2 = b.data[:, None] if b.ndim == 1 else b.data
-    if a2.shape[-1] != b2.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError as exc:  # mismatched batch dimensions
-        raise ShapeError(str(exc)) from exc
-    out = Tensor(out_data, a.requires_grad or b.requires_grad)
+    if a.ndim == 1 or b.ndim == 1:
+        out = matmul(reshape(a, (1, a.size)) if a.ndim == 1 else a,
+                     reshape(b, (b.size, 1)) if b.ndim == 1 else b)
+        return reshape(out, a.shape[:-1] + b.shape[1:])
+    k, n = b.shape[-2:]
+    shared = b.ndim == 2
+    if a.shape[-1] != k or not (shared or a.shape[:-2] == b.shape[:-2]):
+        raise ShapeError(f"matmul needs (..., m, k) @ (k, n) or equal batch"
+                         f" dimensions, got {a.shape} @ {b.shape}")
+    out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward_fn(g):
-        if a.ndim == 1 and b.ndim == 1:
-            G = g.reshape(g.shape + (1, 1))
-        elif a.ndim == 1:
-            G = g[..., None, :]
-        elif b.ndim == 1:
-            G = g[..., :, None]
-        else:
-            G = g
-        ga = np.matmul(G, np.swapaxes(b2, -1, -2))
-        gb = np.matmul(np.swapaxes(a2, -1, -2), G)
-        ga = _unbroadcast(ga, a2.shape).reshape(a.shape)
-        gb = _unbroadcast(gb, b2.shape).reshape(b.shape)
-        return ga, gb
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        if shared:  # one GEMM over every leading index of a
+            return ga, a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, np.matmul(np.swapaxes(a.data, -1, -2), g)
 
     _record(out, (a, b), backward_fn)
     return out
@@ -461,19 +455,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     def backward_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
-
-    _record(out, (a,), backward_fn)
-    return out
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(ls, a.requires_grad)
-
-    def backward_fn(g):
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
 
     _record(out, (a,), backward_fn)
     return out
@@ -667,26 +648,41 @@ def save_checkpoint(path, tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a CATW checkpoint back into a name -> float64 array dict."""
-    def read(fh, n, what):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise ParseError(f"checkpoint truncated while reading {what}")
-        return buf
+    """Read a CATW checkpoint back into a name -> float64 array dict.
 
+    Every declared length is checked against the bytes left in the file
+    before it is read, so a corrupt header ends in :class:`ParseError`.
+    """
     out: dict[str, Array] = {}
     with open(path, "rb") as fh:
-        if read(fh, 4, "magic") != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, what):
+            left = size - fh.tell()
+            if n > left:
+                raise ParseError(f"checkpoint truncated while reading {what}:"
+                                 f" {n} bytes declared, {left} left")
+            return fh.read(n)
+
+        if read(4, "magic") != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a CATW checkpoint (bad magic)")
-        version, count = struct.unpack("<II", read(fh, 8, "header"))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ParseError(f"{path}: unsupported checkpoint version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(fh, 4, "name length"))
-            name = read(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", read(fh, 4, "rank"))
-            extents = struct.unpack(f"<{rank}Q", read(fh, 8 * rank, "extents"))
-            nbytes = 8 * int(np.prod(extents, dtype=np.int64)) if rank else 8
-            raw = read(fh, nbytes, f"values of {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(extents).copy()
+            (name_len,) = struct.unpack("<I", read(4, "name length"))
+            raw_name = read(name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: tensor name is not UTF-8") from exc
+            (rank,) = struct.unpack("<I", read(4, "rank"))
+            extents = struct.unpack(f"<{rank}Q", read(8 * rank, "extents"))
+            raw = read(8 * math.prod(extents), f"values of {name!r}")
+            try:  # an empty tensor can still declare extents numpy refuses
+                values = np.frombuffer(raw, dtype="<f8").reshape(extents)
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: invalid extents {extents} for {name!r}") from exc
+            out[name] = values.copy()
     return out

@@ -18,6 +18,7 @@ from catkg.cli import main
 from catkg.config import (TrainConfig, apply_overrides, load_config,
                           parse_config, serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
+from catkg.tensor import load_checkpoint, save_checkpoint
 
 from conftest import build_toy_store, write_store_files
 
@@ -250,6 +251,29 @@ class TestEvalCommand:
             "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert stderr.startswith("error: path-error: ")
+
+    def test_non_finite_parameters_are_reported(self, trained, tmp_path):
+        tensors = load_checkpoint(trained["checkpoint"])
+        tensors["entity_emb"][1] = np.nan
+        bad = tmp_path / "nan.catw"
+        save_checkpoint(bad, tensors)
+        code, _, stderr = run_cli([
+            "eval", "--config", str(trained["config"]),
+            "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert stderr.startswith("error: non-finite: ")
+
+    def test_corrupt_checkpoint_header_is_a_parse_error(self, trained,
+                                                        tmp_path):
+        raw = bytearray(trained["checkpoint"].read_bytes())
+        raw[16:18] = b"\xff\xfe"  # first tensor name, no longer UTF-8
+        bad = tmp_path / "bad.catw"
+        bad.write_bytes(bytes(raw))
+        code, _, stderr = run_cli([
+            "eval", "--config", str(trained["config"]),
+            "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert stderr.startswith("error: parse-error: ")
 
     def test_variant_mismatch_is_incompatibility(self, trained, tmp_path):
         code, _, stderr = run_cli([

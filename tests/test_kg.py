@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from catkg import tensor as T
 from catkg.config import TrainConfig
-from catkg.errors import (ConfigError, IndexLookupError, ParseError,
-                          PathError, ShapeError)
+from catkg.errors import (ConfigError, IndexLookupError, NumericsError,
+                          ParseError, PathError, ShapeError)
 from catkg.kg import (LN3, KgModel, Metrics, compose, evaluate,
                       filtered_rank, load_triples, routing_entropy,
                       score_all_tails, smoothed_ce_loss, total_loss)
@@ -281,6 +281,28 @@ class TestSmoothedCE:
                                                     epsilon=0.1), [logits])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_matches_the_dense_target_formula(self, eps):
+        # Reference: build the (B, n) target and take -mean(sum(y * logp));
+        # its gradient is (softmax - y) / B.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 5)) * 3.0
+        targets = np.array([0, 3, 3, 4])
+        shifted = x - x.max(-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
+        y = np.full(x.shape, eps / 4)
+        y[np.arange(4), targets] = 1.0 - eps
+        logits = Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            loss = smoothed_ce_loss(logits, targets, epsilon=eps)
+        assert len(tape) == 1
+        tape.backward(loss)
+        assert abs(float(loss.data) + (y * logp).sum(-1).mean()) < 1e-12
+        assert np.abs(logits.grad - (np.exp(logp) - y) / 4).max() < 1e-12
+        err = grad_check(lambda t: smoothed_ce_loss(t, targets, epsilon=eps),
+                         [Tensor(x)])
+        assert err < 1e-6
+
 
 class TestRoutingEntropy:
     def test_uniform_routing_is_ln3(self):
@@ -426,6 +448,19 @@ class TestEvaluate:
         assert_allclose(metrics.mrr, 7.0 / 12.0, rtol=1e-15)
         assert metrics.hits_at_10 == 1.0
         assert metrics.n_evaluated == 3
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_scores_raise(self, row):
+        # Row 0 puts the NaN on the target's own score, row 1 on a
+        # competitor, which a comparison would quietly rank below the target.
+        store = build_toy_store(n_entities=4, n_relations=1, n_train=3,
+                                n_test=1, n_valid=1)
+        store.train = np.array([[0, 0, 0], [1, 0, 1]])
+        store.filter_index = {}
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
+        rows[row, 2 * row] = np.nan
+        with pytest.raises(NumericsError):
+            evaluate(store, _FixedScoreModel(rows), "train")
 
     def test_empty_split_rejected(self, toy_store):
         toy_store.valid = np.zeros((0, 3), dtype=np.int64)

@@ -1,6 +1,7 @@
 """Tensor core: forward values, tape gradients, and the checkpoint format."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -51,6 +52,14 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((1, 3, 4), (2, 4, 5)),     # numpy would broadcast the batch axis
+        ((2, 3, 4), (5, 2, 4, 6)),  # 3-D @ 4-D
+    ])
+    def test_matmul_rejects_unequal_batch_dimensions(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
     def test_softmax_symmetry_and_stability(self):
         assert_allclose(T.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
         big = T.softmax(Tensor([1000.0, 1000.0]))
@@ -76,12 +85,6 @@ class TestForwardValues:
         g, b = Tensor(np.ones(2)), Tensor(np.zeros(2))
         out = T.layer_norm(Tensor([[1.0, -1.0]]), g, b, eps=1e-12)
         assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 5))
-        assert_allclose(T.log_softmax(Tensor(x)).data,
-                        np.log(T.softmax(Tensor(x)).data), atol=1e-12)
 
 
 class TestDropout:
@@ -151,6 +154,19 @@ class TestBackward:
         assert np.abs(analytic - numeric).max() < 1e-6
         # and the closed form: ones @ b^T
         assert_allclose(analytic, np.ones((3, 2)) @ b0.T, atol=1e-12)
+
+    def test_shared_weight_grad_is_the_per_sample_sum(self):
+        rng = np.random.default_rng(13)
+        a0, w0 = rng.normal(size=(6, 2, 4)), rng.normal(size=(4, 5))
+        probe = rng.normal(size=(6, 2, 5))
+        a = Tensor(a0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        with Tape() as tape:
+            loss = (T.matmul(a, w) * probe).sum()
+        tape.backward(loss)
+        per_sample = sum(a0[i].T @ probe[i] for i in range(6))
+        assert np.abs(w.grad - per_sample).max() < 1e-12
+        assert np.abs(a.grad - probe @ w0.T).max() < 1e-12
 
     def test_layer_norm_grad_vs_independent_fd(self):
         rng = np.random.default_rng(4)
@@ -254,7 +270,12 @@ class TestGradCheck:
             (lambda x: T.erf(x).sum(), rng.normal(size=(3,))),
             (lambda x: T.gelu(x).sum(), rng.normal(size=(5,))),
             (lambda x: T.softmax(x).sum(), rng.normal(size=(2, 4))),
-            (lambda x: T.log_softmax(x, axis=-1).mean(), rng.normal(size=(2, 4))),
+            # 1-D matmul: row @ matrix, matrix @ column, vector @ vector
+            (lambda x: T.tanh(T.narrow(x, 0, 0, 1).reshape(3) @ x).sum(),
+             rng.normal(size=(3, 3))),
+            (lambda x: T.tanh(x @ T.narrow(x, 1, 0, 1).reshape(3)).sum(),
+             rng.normal(size=(3, 3))),
+            (lambda x: x @ x, rng.normal(size=(4,))),
             (lambda x: T.narrow(x, 1, 1, 2).sum(), rng.normal(size=(3, 4))),
             (lambda x: x.reshape(6).sum(), rng.normal(size=(2, 3))),
             (lambda x: x.swapaxes(0, 1).sum(), rng.normal(size=(2, 3))),
@@ -319,6 +340,42 @@ class TestCheckpointFormat:
         path = tmp_path / "trunc.catw"
         T.save_checkpoint(path, {"w": np.ones((4, 4))})
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ParseError):
+            T.load_checkpoint(path)
+
+
+class TestCheckpointHeaders:
+    """Crafted headers whose declared sizes the file cannot back."""
+
+    @staticmethod
+    def write(path, name: bytes, extents):
+        path.write_bytes(
+            b"CATW" + struct.pack("<II", 1, 1)
+            + struct.pack("<I", len(name)) + name
+            + struct.pack("<I", len(extents))
+            + struct.pack(f"<{len(extents)}Q", *extents) + bytes(64))
+
+    @pytest.mark.parametrize("extents", [
+        (2 ** 29, 2 ** 28),  # 2^60 bytes: would exhaust memory
+        (2 ** 62, 4),        # the int64 product of the extents wraps
+        (2 ** 63, 0),        # no bytes, but no valid numpy shape either
+    ])
+    def test_extents_the_file_cannot_hold(self, tmp_path, extents):
+        path = tmp_path / "huge.catw"
+        self.write(path, b"w", extents)
+        with pytest.raises(ParseError):
+            T.load_checkpoint(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "name.catw"
+        self.write(path, b"\xff\xfe", (2,))
+        with pytest.raises(ParseError):
+            T.load_checkpoint(path)
+
+    def test_rank_larger_than_the_file(self, tmp_path):
+        path = tmp_path / "rank.catw"
+        path.write_bytes(b"CATW" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack("<I", 2 ** 31))
         with pytest.raises(ParseError):
             T.load_checkpoint(path)
 
