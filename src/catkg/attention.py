@@ -46,7 +46,7 @@ class Linear:
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight) + self.bias
+        return T.affine(x, self.weight, self.bias)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}

@@ -182,18 +182,24 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1) -> Tensor:
     """Label-smoothed cross-entropy, averaged over the batch.
 
     The target row puts 1 - epsilon on the true tail and spreads epsilon
-    uniformly over the other ``n - 1`` entities.
+    uniformly over the other ``n - 1`` entities. ``logits`` is (B, n) with
+    B >= 1 and ``targets`` holds exactly one class index per row.
     """
     if not 0 <= epsilon < 1:
         raise ConfigError(f"label smoothing must be in [0, 1), got {epsilon}")
+    logits = T.as_tensor(logits)
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if (logits.ndim != 2 or logits.shape[0] == 0
+            or targets.shape != logits.shape[:1]):
+        raise ShapeError(f"smoothed_ce_loss needs (B, n) logits with B >= 1"
+                         f" and B targets, got {logits.shape} and"
+                         f" {targets.shape}")
     n = logits.shape[-1]
     if n < 2:
         raise ConfigError(
             "label smoothing needs at least 2 classes to spread mass over")
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if targets.min() < 0 or targets.max() >= n:
         raise IndexLookupError(f"target index out of bounds for {n} classes")
-    logits = T.as_tensor(logits)
     # The target row y is `off` everywhere plus `on` at the true tail.
     off = epsilon / (n - 1)
     on = 1.0 - epsilon - off

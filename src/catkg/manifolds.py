@@ -42,9 +42,7 @@ def check_curvature(c) -> float:
 
 def safe_norm(x, keepdims: bool = True) -> Tensor:
     """Euclidean norm over the last axis, floored away from exact zero."""
-    x = T.as_tensor(x)
-    return T.sqrt(T.reduce_sum(x * x, axis=-1, keepdims=keepdims)
-                  + _NORM_FLOOR_SQ)
+    return T.norm(x, _NORM_FLOOR_SQ, keepdims)
 
 
 # ---------------------------------------------------------------------------

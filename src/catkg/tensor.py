@@ -18,11 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _np_erf
 
-from .errors import ConfigError, IndexLookupError, ParseError, ShapeError
+from .errors import (ConfigError, IndexLookupError, NumericsError, ParseError,
+                     ShapeError)
 
 Array = np.ndarray
 
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
@@ -422,11 +424,6 @@ def arccos(a) -> Tensor:
                         lambda x, y: -1.0 / np.sqrt(1.0 - x * x))
 
 
-def erf(a) -> Tensor:
-    return _elementwise(a, _np_erf,
-                        lambda x, y: 2.0 * _INV_SQRT_PI * np.exp(-x * x))
-
-
 def clip(a, lo=None, hi=None) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through the interior."""
     a = as_tensor(a)
@@ -503,28 +500,97 @@ def embedding(table, indices) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Composites
+# Fused ops: one tape node each, closed-form backward
 # ---------------------------------------------------------------------------
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` as one 2-D GEMM.
+
+    Every leading axis of ``x`` becomes a row of the GEMM; ``w`` is
+    (k, n) and ``b`` is (n,). The weight gradient is one GEMM too.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (x.ndim == 0 or w.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"affine needs (..., k) @ (k, n) + (n,), got"
+                         f" {x.shape} @ {w.shape} + {b.shape}")
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (n,)),
+                 x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    _record(out, (x, w, b), backward_fn)
+    return out
+
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``eps`` keeps the gradient defined for constant rows.
+    ``eps`` keeps the gradient defined for constant rows. The backward is
+    the closed form ``(gn - mean(gn) - x̂·mean(gn·x̂)) / std`` with
+    ``gn = g·gamma`` (Ba et al. 2016).
     """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    x = as_tensor(x)
-    m = mean(x, axis=-1, keepdims=True)
-    centered = x - m
-    var = mean(centered * centered, axis=-1, keepdims=True)
-    normed = centered / sqrt(var + eps)
-    return normed * gamma + beta
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    inv_d = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d
+                  + eps)
+    normed = np.divide(centered, std, out=centered)
+    y = normed * gamma.data
+    y += beta.data
+    out = Tensor(y, x.requires_grad or gamma.requires_grad
+                 or beta.requires_grad)
+
+    def backward_fn(g):
+        gn = g * gamma.data
+        gx = gn - gn.mean(axis=-1, keepdims=True)
+        gx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+        gx /= std
+        return (gx, _unbroadcast(g * normed, gamma.shape),
+                _unbroadcast(g, beta.shape))
+
+    _record(out, (x, gamma, beta), backward_fn)
+    return out
 
 
 def gelu(x) -> Tensor:
-    """Gaussian-error linear unit (erf form; smooth everywhere)."""
+    """Gaussian-error linear unit ``x·Φ(x)`` (erf form; smooth everywhere).
+
+    The backward reuses the forward's ``2·Φ(x) = 1 + erf(x/√2)``.
+    """
     x = as_tensor(x)
-    return x * 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    two_cdf = 1.0 + _np_erf(x.data * _INV_SQRT2)
+    out = Tensor(x.data * 0.5 * two_cdf, x.requires_grad)
+
+    def backward_fn(g):
+        slope = np.exp(x.data * x.data * -0.5)
+        slope *= x.data * _INV_SQRT_2PI  # x·φ(x)
+        slope += 0.5 * two_cdf           # + Φ(x)
+        slope *= g
+        return (slope,)
+
+    _record(out, (x,), backward_fn)
+    return out
+
+
+def norm(x, floor_sq: float, keepdims: bool = True) -> Tensor:
+    """Euclidean norm ``sqrt(sum(x²) + floor_sq)`` over the last axis.
+
+    A positive ``floor_sq`` keeps the gradient ``g·x/n`` finite at 0.
+    """
+    x = as_tensor(x)
+    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + floor_sq)
+    out = Tensor(n if keepdims else n[..., 0], x.requires_grad)
+    _record(out, (x,), lambda g: (x.data * (g.reshape(n.shape) / n),))
+    return out
 
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
@@ -652,6 +718,7 @@ def load_checkpoint(path) -> dict[str, Array]:
 
     Every declared length is checked against the bytes left in the file
     before it is read, so a corrupt header ends in :class:`ParseError`.
+    A tensor holding a NaN or an infinity raises :class:`NumericsError`.
     """
     out: dict[str, Array] = {}
     with open(path, "rb") as fh:
@@ -684,5 +751,8 @@ def load_checkpoint(path) -> dict[str, Array]:
             except ValueError as exc:
                 raise ParseError(
                     f"{path}: invalid extents {extents} for {name!r}") from exc
+            if not np.isfinite(values).all():
+                raise NumericsError(
+                    f"{path}: tensor {name!r} holds non-finite values")
             out[name] = values.copy()
     return out

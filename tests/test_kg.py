@@ -219,6 +219,21 @@ class TestModelScoring:
         b, _ = model.score(np.array([1]), np.array([1]))
         assert np.array_equal(a.data, b.data)
 
+    def test_cat_training_step_tape_stays_small(self):
+        # One fused node per affine map, layer norm, GELU and norm; going
+        # back to chains of primitives roughly doubles the tape (262 nodes).
+        cfg = TrainConfig(d=8, heads=2, seed=3)
+        model = KgModel(12, 4, cfg)
+        with T.Tape() as tape:
+            logits, alpha = model.score(np.array([0, 5, 9]),
+                                        np.array([1, 3, 0]), training=True,
+                                        rng=np.random.default_rng(0))
+            ce = smoothed_ce_loss(logits, [2, 4, 6])
+            loss = total_loss(ce, routing_entropy(alpha), 0.01)
+        assert len(tape) <= 180
+        tape.backward(loss)
+        assert np.isfinite(model.entity_emb.grad).all()
+
     def test_parameter_count_adds_up(self):
         model = KgModel(10, 3, self.cfg)
         from catkg.attention import parameter_count as block_count
@@ -273,6 +288,18 @@ class TestSmoothedCE:
             smoothed_ce_loss(Tensor(np.zeros((1, 1))), [0])
         with pytest.raises(IndexLookupError):
             smoothed_ce_loss(Tensor(np.zeros((1, 4))), [4])
+
+    @pytest.mark.parametrize("shape, targets", [
+        ((2, 4), [1]),           # fewer targets than rows
+        ((2, 4), [1, 2, 3]),     # more targets than rows
+        ((2, 4), [[1], [2]]),    # one column of targets, not a vector
+        ((4,), [1]),             # logits without a batch axis
+        ((1, 2, 4), [1]),        # logits with an extra axis
+        ((0, 4), []),            # no rows at all
+    ])
+    def test_logits_and_targets_must_pair_up(self, shape, targets):
+        with pytest.raises(ShapeError):
+            smoothed_ce_loss(Tensor(np.zeros(shape)), targets)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)

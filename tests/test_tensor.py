@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import erf as np_erf
 
 from catkg import tensor as T
-from catkg.errors import ConfigError, IndexLookupError, ParseError, ShapeError
+from catkg.errors import (ConfigError, IndexLookupError, NumericsError,
+                          ParseError, ShapeError)
 from catkg.tensor import Tape, Tensor
 
 
@@ -267,8 +269,17 @@ class TestGradCheck:
             (lambda x: T.sin(x).sum(), rng.normal(size=(3,))),
             (lambda x: T.cos(x).sum(), rng.normal(size=(3,))),
             (lambda x: T.arccos(x).sum(), rng.uniform(-0.8, 0.8, size=(3,))),
-            (lambda x: T.erf(x).sum(), rng.normal(size=(3,))),
             (lambda x: T.gelu(x).sum(), rng.normal(size=(5,))),
+            # fused ops; weight, bias, gamma and beta are slices of x
+            (lambda x: T.tanh(T.affine(x, x, T.narrow(x, 0, 1, 1).reshape(3)))
+             .sum(), rng.normal(size=(3, 3))),
+            (lambda x: T.sin(T.layer_norm(
+                x, T.narrow(x, 0, 0, 1).reshape(4),
+                T.narrow(x, 0, 1, 1).reshape(4))).sum(),
+             rng.normal(size=(3, 4))),
+            (lambda x: T.sin(T.norm(x, 1e-32)).sum(), rng.normal(size=(3, 4))),
+            (lambda x: T.sin(T.norm(x, 1e-32, keepdims=False)).sum(),
+             rng.normal(size=(4,))),
             (lambda x: T.softmax(x).sum(), rng.normal(size=(2, 4))),
             # 1-D matmul: row @ matrix, matrix @ column, vector @ vector
             (lambda x: T.tanh(T.narrow(x, 0, 0, 1).reshape(3) @ x).sum(),
@@ -283,6 +294,88 @@ class TestGradCheck:
         ]
         for fn, x in cases:
             assert T.grad_check(fn, [Tensor(x)]) < 1e-6
+
+
+# The taped chains the fused ops replaced, kept as their references.
+
+def chain_affine(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def chain_layer_norm(x, gamma, beta, eps=1e-5):
+    m = T.mean(x, axis=-1, keepdims=True)
+    centered = x - m
+    var = T.mean(centered * centered, axis=-1, keepdims=True)
+    return centered / T.sqrt(var + eps) * gamma + beta
+
+
+def chain_gelu(x):
+    def d_erf(u, y):
+        return 2.0 / math.sqrt(math.pi) * np.exp(-u * u)
+
+    erf = T._elementwise(x * (1.0 / math.sqrt(2.0)), np_erf, d_erf)
+    return x * 0.5 * (1.0 + erf)
+
+
+def chain_norm(x, floor_sq, keepdims=True):
+    return T.sqrt(T.reduce_sum(x * x, axis=-1, keepdims=keepdims) + floor_sq)
+
+
+FUSED = {
+    # name: (fused op, taped chain, parameter shapes given the input's d)
+    "affine": (T.affine, chain_affine, lambda d: [(d, 5), (5,)]),
+    "layer_norm": (T.layer_norm, chain_layer_norm, lambda d: [(d,), (d,)]),
+    "gelu": (T.gelu, chain_gelu, lambda d: []),
+    "norm": (lambda x: T.norm(x, 1e-32), lambda x: chain_norm(x, 1e-32),
+             lambda d: []),
+    "norm_dropped": (lambda x: T.norm(x, 1e-32, keepdims=False),
+                     lambda x: chain_norm(x, 1e-32, keepdims=False),
+                     lambda d: []),
+}
+
+
+def run_op(op, arrays, probe_seed):
+    """Value of ``op`` and the gradients of ``sum(op(...) * probe)``."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*tensors)
+        probe = np.random.default_rng(probe_seed).normal(size=out.shape)
+        loss = (out * probe).sum()
+    nodes = len(tape)
+    tape.backward(loss)
+    return out.data, [t.grad for t in tensors], nodes
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    @pytest.mark.parametrize("shape", [(5, 1, 6), (6,)])
+    def test_matches_the_taped_chain(self, name, shape):
+        fused, chain, param_shapes = FUSED[name]
+        rng = np.random.default_rng(17)
+        arrays = [rng.normal(size=shape) * 2.0]
+        arrays += [rng.normal(size=s) for s in param_shapes(shape[-1])]
+        value, grads, nodes = run_op(fused, arrays, 3)
+        ref_value, ref_grads, _ = run_op(chain, arrays, 3)
+        assert nodes == 3  # the op, then the probe product and its sum
+        if name == "affine" and len(shape) > 2:
+            # numpy's stacked matmul rounds differently from the single
+            # GEMM over all leading axes; that GEMM is the 2-D chain.
+            flat = [arrays[0].reshape(-1, shape[-1])] + arrays[1:]
+            assert_allclose(value, ref_value, rtol=0, atol=1e-13)
+            ref_value = chain_affine(*map(Tensor, flat)).data.reshape(
+                value.shape)
+        assert np.array_equal(value, ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() < 1e-10
+
+    def test_affine_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeError):
+            T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))),
+                     Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            T.affine(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 5))),
+                     Tensor(np.zeros(4)))
 
 
 class TestEmbedding:
@@ -334,6 +427,15 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.catw"
         path.write_bytes(b"NOPE" + bytes(8))
         with pytest.raises(ParseError):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.catw"
+        w = np.ones((3, 2))
+        w[1, 0] = bad
+        T.save_checkpoint(path, {"ok": np.zeros(2), "emb": w})
+        with pytest.raises(NumericsError, match="'emb'"):
             T.load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
