@@ -34,6 +34,7 @@ from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
                      serialize_config, validate)
 from .errors import CatkgError, PathError
 from .kg import KgModel, evaluate, load_triples
+from .tensor import atomic_write
 from .trainer import export_routing, load_model, save_model, train
 
 from pathlib import Path
@@ -180,7 +181,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
         "metrics": metrics,
         "artifacts": artifacts,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

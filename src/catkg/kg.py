@@ -138,14 +138,18 @@ class KgModel:
         return parameter_count(self)
 
     def score(self, heads: np.ndarray, relations: np.ndarray,
-              training: bool = False, rng=None):
+              training: bool = False, rng=None, out: np.ndarray | None = None):
         """Logits over all tails for a batch of (h, r) queries.
 
         Returns ``(logits, alpha)`` with logits (B, n_entities) and alpha
         (B, 1, 3) routing weights (None for fixed-geometry variants).
+        With ``out``, a C-contiguous float64 (B, n_entities) array, the
+        logits are written into it and ``logits.data`` is ``out``; the
+        caller may reuse it once the logits have been read, since no
+        backward reads it. Without ``out`` a new array is allocated.
         """
-        heads = np.atleast_1d(np.asarray(heads, dtype=np.int64))
-        relations = np.atleast_1d(np.asarray(relations, dtype=np.int64))
+        heads = np.atleast_1d(T.index_array(heads, "head"))
+        relations = np.atleast_1d(T.index_array(relations, "relation"))
         if relations.size and (relations.min() < 0
                                or relations.max() >= self.relation_emb.shape[0]):
             raise IndexLookupError(
@@ -163,9 +167,8 @@ class KgModel:
         batch = x.shape[0]
         tokens = x.reshape(batch, 1, x.shape[-1])
         y, alpha = self.block.forward(tokens)
-        out = y.reshape(batch, y.shape[-1])
-        logits = out @ self.entity_emb.swapaxes(0, 1)
-        return logits, alpha
+        query = y.reshape(batch, y.shape[-1])
+        return T.inner(query, self.entity_emb, out=out), alpha
 
 
 def score_all_tails(model: KgModel, h: int, r: int) -> np.ndarray:
@@ -188,7 +191,7 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1) -> Tensor:
     if not 0 <= epsilon < 1:
         raise ConfigError(f"label smoothing must be in [0, 1), got {epsilon}")
     logits = T.as_tensor(logits)
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    targets = np.atleast_1d(T.index_array(targets, "target"))
     if (logits.ndim != 2 or logits.shape[0] == 0
             or targets.shape != logits.shape[:1]):
         raise ShapeError(f"smoothed_ce_loss needs (B, n) logits with B >= 1"
@@ -200,23 +203,30 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1) -> Tensor:
             "label smoothing needs at least 2 classes to spread mass over")
     if targets.min() < 0 or targets.max() >= n:
         raise IndexLookupError(f"target index out of bounds for {n} classes")
-    # The target row y is `off` everywhere plus `on` at the true tail.
+    # The target row y is `off` everywhere plus `on` at the true tail, and
+    # log p = x - shift with shift = max + log z, so sum(y * log p) needs
+    # only x[t], sum(x) and shift: no (B, n) log-probability array.
     off = epsilon / (n - 1)
     on = 1.0 - epsilon - off
-    rows = np.arange(targets.size)
-    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logp)
+    batch = targets.size
+    rows = np.arange(batch)
+    x = logits.data
+    top = x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, top)
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
-    logp -= np.log(z)
-    loss = -(on * logp[rows, targets] + off * logp.sum(axis=-1)).mean()
+    shift = (top + np.log(z))[:, 0]
+    loss = -(on * (x[rows, targets] - shift)
+             + off * (x.sum(axis=-1) - n * shift)).mean()
     out = Tensor(loss, logits.requires_grad)
 
     def backward_fn(g):
-        # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
-        grad = np.divide(e, z, out=e)  # the tape runs this once: reuse e
-        grad -= off
-        grad[rows, targets] -= on
-        grad *= g / targets.size
+        # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B; written
+        # into e (the tape runs this once), never into the logits.
+        scale = g / batch
+        grad = np.multiply(e, scale / z, out=e)
+        grad -= off * scale
+        grad[rows, targets] -= on * scale
         return (grad,)
 
     T._record(out, (logits,), backward_fn)
@@ -300,9 +310,11 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
     hits = 0
     alpha_sum = np.zeros(3)
     alpha_seen = False
+    buf = np.empty((min(batch_size, triples.shape[0]), store.n_entities))
     for start in range(0, triples.shape[0], batch_size):
         batch = triples[start:start + batch_size]
-        logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False)
+        logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
+                                    out=buf[:batch.shape[0]])
         scores = logits.data
         if collect_alpha and alpha is not None:
             alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)

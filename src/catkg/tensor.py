@@ -9,6 +9,7 @@ domain boundaries and need the headroom.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -479,12 +480,26 @@ def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
     return out
 
 
+def index_array(indices, what: str = "index") -> Array:
+    """``indices`` as an int64 array, refusing any non-integer dtype.
+
+    A cast would truncate ``1.9`` to ``1`` without a word, so floats,
+    bools and strings raise :class:`IndexLookupError`. Empty inputs pass
+    whatever their dtype (numpy reads ``[]`` as float64).
+    """
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise IndexLookupError(
+            f"{what} indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def embedding(table, indices) -> Tensor:
     """Gather rows of a 2-D ``table``; gradient scatter-adds back."""
     table = as_tensor(table)
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = index_array(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexLookupError(
             f"index out of bounds for table with {table.shape[0]} rows")
@@ -527,6 +542,34 @@ def affine(x, w, b) -> Tensor:
 
     _record(out, (x, w, b), backward_fn)
     return out
+
+
+def inner(q, table, out: Array | None = None) -> Tensor:
+    """``q @ tableᵀ``: (B, d) queries against every row of an (n, d) table.
+
+    With ``out`` the (B, n) result is written into that float64,
+    C-contiguous array, which the caller owns and may overwrite once the
+    forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
+    reads only ``q``, ``table`` and the incoming gradient.
+    """
+    q, table = as_tensor(q), as_tensor(table)
+    if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
+        raise ShapeError(f"inner needs (B, d) and (n, d) operands, got"
+                         f" {q.shape} and {table.shape}")
+    shape = (q.shape[0], table.shape[0])
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64
+                                and out.shape == shape
+                                and out.flags.c_contiguous):
+        found = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
+                 else type(out).__name__)
+        raise ShapeError(f"inner needs a C-contiguous float64 {shape} out"
+                         f" buffer, got {found}")
+    y = np.matmul(q.data, table.data.T, out=out)
+    result = Tensor(y, q.requires_grad or table.requires_grad)
+    _record(result, (q, table),
+            lambda g: (g @ table.data, (q.data.T @ g).T))
+    return result
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -697,9 +740,30 @@ CHECKPOINT_MAGIC = b"CATW"
 CHECKPOINT_VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a temp file beside ``path`` that replaces it on a clean exit.
+
+    If the block raises, the temp file is removed and ``path`` keeps its
+    previous content. A process killed mid-write leaves ``path`` whole,
+    old or new, and at most a stale temp file beside it.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, tensors: dict) -> None:
-    """Write named tensors to ``path`` in the CATW binary format."""
-    with open(path, "wb") as fh:
+    """Write named tensors to ``path`` in the CATW binary format, atomically."""
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
         for name, value in tensors.items():

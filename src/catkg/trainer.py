@@ -183,6 +183,9 @@ def train(store: TripleStore, cfg: TrainConfig,
     best_mrr = -math.inf
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
+    # Every step writes its logits here; the previous step's tape, the only
+    # reader, has been consumed by then.
+    logits_buf = np.empty((min(cfg.batch_size, n_train), store.n_entities))
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -191,7 +194,8 @@ def train(store: TripleStore, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             with T.Tape() as tape:
                 logits, alpha = model.score(triples[idx, 0], triples[idx, 1],
-                                            training=True, rng=dropout_rng)
+                                            training=True, rng=dropout_rng,
+                                            out=logits_buf[:idx.size])
                 loss = smoothed_ce_loss(logits, triples[idx, 2],
                                         cfg.label_smoothing)
                 if is_cat:
@@ -287,11 +291,14 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)
+    # Only alpha is read; the logits of every batch land in one buffer.
+    buf = np.empty((min(1024, triples.shape[0]), store.n_entities))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("head\trelation\talpha_e\talpha_h\talpha_s\n")
         for start in range(0, triples.shape[0], 1024):
             batch = triples[start:start + 1024]
-            _, alpha = model.score(batch[:, 0], batch[:, 1], training=False)
+            _, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
+                                   out=buf[:batch.shape[0]])
             weights = alpha.data.reshape(-1, 3)
             alpha_sum += weights.sum(axis=0)
             for (h, r, _), w in zip(batch, weights):

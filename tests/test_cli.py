@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from catkg.cli import main
+from catkg.cli import _write_manifest, main
 from catkg.config import (TrainConfig, apply_overrides, load_config,
                           parse_config, serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
@@ -210,6 +210,19 @@ class TestTrainCommand:
         code, _, err = run_cli(["train", "--config", str(trained["config"])])
         assert code == 0, err
         assert (tmp_path / "runs" / "train" / "manifest.json").exists()
+
+
+class TestManifestWrite:
+    def test_failed_write_leaves_the_previous_manifest(self, tmp_path):
+        cfg = TrainConfig()
+        _write_manifest(tmp_path, "eval", cfg, timings={"eval": 1.0},
+                        metrics={"test": {"mrr": 0.5}}, artifacts={})
+        before = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(TypeError):  # json.dump fails after a partial write
+            _write_manifest(tmp_path, "eval", cfg, timings={"eval": 2.0},
+                            metrics={"test": {"mrr": object()}}, artifacts={})
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestEvalCommand:

@@ -234,6 +234,68 @@ class TestModelScoring:
         tape.backward(loss)
         assert np.isfinite(model.entity_emb.grad).all()
 
+    def _training_step(self, model, out=None, clobber=False):
+        """Logits and every parameter gradient of one seeded `cat` step.
+
+        With ``clobber`` the logits buffer is filled with NaN between the
+        forward pass and the backward pass.
+        """
+        for p in model.parameters().values():
+            p.grad = None
+        with T.Tape() as tape:
+            logits, alpha = model.score(np.array([0, 5, 9, 5]),
+                                        np.array([1, 3, 0, 2]), training=True,
+                                        rng=np.random.default_rng(0), out=out)
+            ce = smoothed_ce_loss(logits, [2, 4, 6, 11])
+            loss = total_loss(ce, routing_entropy(alpha), 0.01)
+        value = logits.data.copy()
+        if clobber:
+            out.fill(np.nan)
+        tape.backward(loss)
+        return logits, value, {k: p.grad
+                               for k, p in model.parameters().items()}
+
+    def test_score_into_a_buffer_matches_a_new_array(self):
+        model = KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3))
+        _, ref_value, ref_grads = self._training_step(model)
+        buf = np.empty((4, 12))
+        logits, value, grads = self._training_step(model, out=buf)
+        assert np.shares_memory(logits.data, buf)
+        assert np.array_equal(value, ref_value)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+
+    def test_backward_never_reads_the_logits_buffer(self):
+        model = KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3))
+        _, _, ref_grads = self._training_step(model)
+        _, _, grads = self._training_step(model, out=np.empty((4, 12)),
+                                          clobber=True)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+
+    @pytest.mark.parametrize("buf", [
+        np.empty((2, 9)),              # vocabulary of another model
+        np.empty((3, 10)),             # batch of another size
+        np.empty((2, 10), np.float32),
+        np.empty((2, 10), order="F"),
+        np.empty((2, 20))[:, ::2],
+    ])
+    def test_bad_out_buffer_is_rejected(self, buf):
+        model = KgModel(10, 3, self.cfg)
+        with pytest.raises(ShapeError):
+            model.score(np.array([0, 1]), np.array([0, 2]), out=buf)
+
+    def test_non_integer_indices_are_rejected(self):
+        model = KgModel(10, 3, self.cfg)
+        with pytest.raises(IndexLookupError):
+            model.score(np.array([1.9]), np.array([0]))
+        with pytest.raises(IndexLookupError):
+            model.score(np.array([1]), np.array([0.5]))
+        ref, _ = model.score([1, 2], [0, 2])
+        narrow, _ = model.score(np.array([1, 2], np.int32),
+                                np.array([0, 2], np.int32))
+        assert np.array_equal(narrow.data, ref.data)
+
     def test_parameter_count_adds_up(self):
         model = KgModel(10, 3, self.cfg)
         from catkg.attention import parameter_count as block_count
@@ -300,6 +362,37 @@ class TestSmoothedCE:
     def test_logits_and_targets_must_pair_up(self, shape, targets):
         with pytest.raises(ShapeError):
             smoothed_ce_loss(Tensor(np.zeros(shape)), targets)
+
+    def test_non_integer_targets_are_rejected(self):
+        # A cast would truncate [1.9, 0.5] to [1, 0] and return that loss.
+        logits = Tensor(np.random.default_rng(1).normal(size=(2, 4)))
+        with pytest.raises(IndexLookupError, match="integers"):
+            smoothed_ce_loss(logits, [1.9, 0.5])
+        ref = smoothed_ce_loss(logits, [1, 0])
+        narrow = smoothed_ce_loss(logits, np.array([1, 0], np.int32))
+        assert float(narrow.data) == float(ref.data)
+
+    def test_large_logits_match_the_dense_target_formula(self):
+        # With 1000 classes and logits of scale 50, sum(x) - n * shift
+        # cancels heavily; the value must still match the dense form.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 1000)) * 50.0
+        targets = rng.integers(1000, size=6)
+        shifted = x - x.max(-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
+        y = np.full(x.shape, 0.1 / 999)
+        y[np.arange(6), targets] = 0.9
+        expected = -(y * logp).sum(-1).mean()
+        loss = float(smoothed_ce_loss(Tensor(x), targets, 0.1).data)
+        assert abs(loss - expected) <= 1e-12 * abs(expected)
+
+    def test_logits_are_left_untouched(self):
+        x = np.random.default_rng(3).normal(size=(3, 5))
+        logits = Tensor(x.copy(), requires_grad=True)
+        with T.Tape() as tape:
+            loss = smoothed_ce_loss(logits, [0, 2, 4])
+        tape.backward(loss)
+        assert np.array_equal(logits.data, x)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
@@ -455,7 +548,7 @@ class _FixedScoreModel:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.float64)
 
-    def score(self, heads, relations, training=False, rng=None):
+    def score(self, heads, relations, training=False, rng=None, out=None):
         return Tensor(self.rows[:len(heads)]), None
 
 
@@ -527,6 +620,24 @@ class TestEvaluate:
         tiny = evaluate(toy_store, model, "train", batch_size=7)
         assert_allclose(whole.mrr, tiny.mrr, rtol=1e-12)
         assert whole.hits_at_10 == tiny.hits_at_10
+
+    def test_batches_share_one_logits_buffer(self):
+        # Five triples in batches of two end in a one-row slice.
+        store = build_toy_store(n_entities=12, n_train=20, n_test=5)
+        model = KgModel(12, store.n_relations, TrainConfig(d=8, heads=2,
+                                                           seed=2))
+        whole = evaluate(store, model, "test", batch_size=1024)
+        seen = []
+        score = model.score
+
+        def spy(heads, relations, training=False, rng=None, out=None):
+            seen.append(out)
+            return score(heads, relations, training, rng, out)
+
+        model.score = spy
+        assert evaluate(store, model, "test", batch_size=2) == whole
+        assert [buf.shape for buf in seen] == [(2, 12), (2, 12), (1, 12)]
+        assert all(np.shares_memory(buf, seen[0]) for buf in seen)
 
     def test_untrained_model_ranks_like_chance(self):
         # With random embeddings the true tail is an arbitrary entity, so

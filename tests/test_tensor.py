@@ -395,6 +395,71 @@ class TestEmbedding:
         with pytest.raises(IndexLookupError):
             T.embedding(Tensor(np.ones((4, 3))), [4])
 
+    @pytest.mark.parametrize("bad", [[1.0], np.array([1.9, 0.5]),
+                                     np.array([True]), ["1"]])
+    def test_non_integer_indices_are_rejected(self, bad):
+        # A cast would truncate 1.9 to row 1 without a word.
+        with pytest.raises(IndexLookupError, match="integers"):
+            T.embedding(Tensor(np.ones((4, 3))), bad)
+
+    @pytest.mark.parametrize("good", [[1, 3], np.array([1, 3], np.int32),
+                                      np.array([1, 3], np.uint8)])
+    def test_integer_indices_of_any_width_are_accepted(self, good):
+        rows = T.embedding(Tensor(np.arange(12.0).reshape(4, 3)), good)
+        assert rows.data[:, 0].tolist() == [3.0, 9.0]
+
+    def test_empty_index_list_is_accepted(self):
+        assert T.embedding(Tensor(np.ones((4, 3))), []).shape == (0, 3)
+
+
+class TestInner:
+    """``q @ tableᵀ`` as one tape node, optionally into a caller's buffer."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.q = rng.normal(size=(4, 3))
+        self.table = rng.normal(size=(6, 3))
+
+    def test_matches_the_taped_matmul_bitwise(self):
+        value, grads, nodes = run_op(T.inner, [self.q, self.table], 5)
+        ref_value, ref_grads, ref_nodes = run_op(
+            lambda q, t: q @ t.swapaxes(0, 1), [self.q, self.table], 5)
+        assert (nodes, ref_nodes) == (3, 4)
+        assert np.array_equal(value, ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+    def test_writes_into_the_out_buffer(self):
+        buf = np.full((4, 6), np.nan)
+        y = T.inner(Tensor(self.q), Tensor(self.table), out=buf)
+        assert y.data is buf
+        assert np.array_equal(buf, self.q @ self.table.T)
+
+    def test_gradient(self):
+        q, table = Tensor(self.q), Tensor(self.table)
+        assert T.grad_check(lambda x: T.tanh(T.inner(x, table)).sum(),
+                            [Tensor(self.q)]) < 1e-6
+        assert T.grad_check(lambda x: T.tanh(T.inner(q, x)).sum(),
+                            [Tensor(self.table)]) < 1e-6
+
+    @pytest.mark.parametrize("make_out", [
+        lambda: np.empty((4, 5)),                  # wrong shape
+        lambda: np.empty((3, 6)),                  # wrong batch
+        lambda: np.empty((4, 6), np.float32),      # wrong dtype
+        lambda: np.empty((4, 6), order="F"),       # wrong layout
+        lambda: np.empty((4, 12))[:, ::2],         # strided view
+        lambda: [[0.0] * 6] * 4,                   # not an array
+    ])
+    def test_bad_out_buffers_are_rejected(self, make_out):
+        with pytest.raises(ShapeError):
+            T.inner(Tensor(self.q), Tensor(self.table), out=make_out())
+
+    def test_operand_shapes_are_checked(self):
+        with pytest.raises(ShapeError):
+            T.inner(Tensor(self.q), Tensor(self.table.T))
+        with pytest.raises(ShapeError):
+            T.inner(Tensor(self.q[0]), Tensor(self.table))
+
 
 class TestCheckpointFormat:
     def test_roundtrip(self, tmp_path):
@@ -444,6 +509,24 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [
+        {"w": np.zeros(3), "\ud800": np.ones(2)},    # name is not encodable
+        {"w": np.zeros(3), "s": np.array(["x"])},    # values are not numbers
+    ])
+    def test_failed_save_leaves_the_previous_file(self, tmp_path, bad):
+        path = tmp_path / "model.catw"
+        T.save_checkpoint(path, {"old": np.arange(4.0)})
+        before = path.read_bytes()
+        with pytest.raises((UnicodeEncodeError, ValueError)):
+            T.save_checkpoint(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.catw"]
+
+    def test_first_save_that_fails_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            T.save_checkpoint(tmp_path / "m.catw", {"\ud800": np.ones(2)})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckpointHeaders:

@@ -27,6 +27,19 @@ from catkg.trainer import (AdamW, EpochRecord, PlateauScheduler,
 from conftest import build_toy_store
 
 
+def record_out_buffers(monkeypatch):
+    """Route KgModel.score through a spy; returns its (training, out) log."""
+    seen = []
+    score = KgModel.score
+
+    def spy(self, heads, relations, training=False, rng=None, out=None):
+        seen.append((training, out))
+        return score(self, heads, relations, training, rng, out)
+
+    monkeypatch.setattr(KgModel, "score", spy)
+    return seen
+
+
 def small_cfg(**kw):
     base = dict(d=16, heads=2, seed=5, lr=0.01, epochs=8, batch_size=64,
                 dropout=0.0)
@@ -250,6 +263,13 @@ class TestTrainLoop:
         result = train(store, small_cfg(epochs=4), log_stream=stream)
         assert stream.getvalue() == result.log_text()
 
+    def test_every_step_writes_one_logits_buffer(self, store, monkeypatch):
+        seen = record_out_buffers(monkeypatch)
+        train(store, small_cfg(epochs=2, batch_size=25))
+        steps = [out for training, out in seen if training]
+        assert [out.shape[0] for out in steps] == [25, 25, 10] * 2
+        assert all(np.shares_memory(out, steps[0]) for out in steps)
+
     def test_divergence_raises_with_location(self, store):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -363,6 +383,15 @@ class TestExportRouting:
         for line in out.read_text(encoding="utf-8").splitlines()[1:]:
             if not line.startswith("#"):
                 assert line.endswith("0.0\t1.0\t0.0")
+
+    def test_batches_share_one_logits_buffer(self, tmp_path, monkeypatch):
+        big = build_toy_store(n_entities=40, n_relations=2, n_train=10,
+                              n_test=1100)
+        model = KgModel(big.n_entities, big.n_relations, small_cfg())
+        seen = record_out_buffers(monkeypatch)
+        export_routing(model, big, "test", tmp_path / "r.tsv")
+        assert [out.shape for _, out in seen] == [(1024, 40), (76, 40)]
+        assert np.shares_memory(seen[0][1], seen[1][1])
 
     def test_means_match_best_epoch_record_exactly(self, store, tmp_path):
         # Two bookkeeping paths to the same number: the per-epoch record of
