@@ -21,6 +21,18 @@ simplex weights alpha (B, N, 3), and returns the convex mixture
 ``alpha_E * Y_E + alpha_H * Y_H + alpha_S * Y_S`` along with alpha.
 No branch uses positional information, so everything here is
 permutation-equivariant over tokens.
+
+A sequence of one token (N = 1, which is what ``KgModel`` feeds) has
+every attention softmax equal to 1, and each branch takes its closed
+form instead of the general path:
+
+* Euclidean: ``ln2(h + ff(h))`` with ``h = ln1(x + wo(wv(x)))``, bitwise
+  the general path's output; ``wq`` and ``wk`` get no gradient.
+* Hyperbolic: ``ff(radial_clip(wv(x), r_max))``, ``r_max =
+  artanh(1 - BOUNDARY_EPS)/sqrt(c)``: exp0, the ball projection and log0
+  of one value only cap its norm. ``wq`` gets no gradient.
+* Spherical: ``ff(sphere_fold(x))``, the lift, chart clamp and log map of
+  one token as one radial map (see :func:`manifolds.sphere_fold`).
 """
 
 from __future__ import annotations
@@ -124,7 +136,12 @@ class EuclideanBranch:
         return self.wo(context), weights
 
     def __call__(self, x: Tensor) -> Tensor:
-        attended, _ = self.attend(x)
+        if x.shape[-2] == 1:
+            # A lone token's softmax is exactly 1, so the context is v
+            # itself: bitwise the same output, without wq, wk and the scores.
+            attended = self.wo(self.wv(x))
+        else:
+            attended, _ = self.attend(x)
         h = self.ln1(x + attended)
         return self.ln2(h + self.ff(h))
 
@@ -145,6 +162,8 @@ class HyperbolicBranch:
     def __init__(self, d: int, curvature: float, ff_multiplier: int,
                  activation: str, seed: int):
         self.c = M.check_curvature(curvature)
+        # Longest tangent vector exp0 maps inside the projected ball.
+        self.r_max = math.atanh(1.0 - M.BOUNDARY_EPS) / math.sqrt(self.c)
         sq, sv, sf = T.derive_seeds(seed, 3)
         self.wq = Linear(d, d, sq)
         self.wv = Linear(d, d, sv)
@@ -161,6 +180,10 @@ class HyperbolicBranch:
 
     def __call__(self, x: Tensor) -> Tensor:
         batch, n, d = x.shape
+        if n == 1:
+            # Weight 1 makes the Möbius scaling and the sum identities, so
+            # exp0 → project → log0 of the value is a radial clip.
+            return self.ff(M.radial_clip(self.wv(x), self.r_max))
         weights = self.attend(x)
         v = M.project_ball(M.exp0(self.wv(x), self.c), self.c)
         scaled = M.mobius_scalar_mul(weights.reshape(batch, n, n, 1),
@@ -193,6 +216,10 @@ class SphericalBranch:
         return points, T.softmax(gram, axis=-1)
 
     def __call__(self, x: Tensor) -> Tensor:
+        if x.shape[-2] == 1:
+            # A lone token pools to its own lifted point; lift, clamp and
+            # log map collapse to one radial fold of the token.
+            return self.ff(M.sphere_fold(x))
         points, weights = self.attend(x)
         pooled = M.sphere_project(weights @ points)
         # Token norms near pi land the pooled point next to the antipode,

@@ -141,6 +141,8 @@ def load_config(path) -> TrainConfig:
             text = fh.read()
     except OSError as exc:
         raise PathError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: config file is not valid UTF-8") from exc
     return parse_config(text, source=str(path))
 
 

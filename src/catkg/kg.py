@@ -61,18 +61,38 @@ def _parse_file(path, entity_index, relation_index, filter_index):
         raise PathError(f"cannot read dataset file: {exc}") from exc
     triples = []
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\r\n").split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'head<TAB>relation<TAB>tail'")
-            head, rel, tail = parts
-            h = entity_index.setdefault(head, len(entity_index))
-            r = relation_index.setdefault(rel, len(relation_index))
-            t = entity_index.setdefault(tail, len(entity_index))
-            triples.append((h, r, t))
-            filter_index.setdefault((h, r), set()).add(t)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\r\n").split("\t")
+                if len(parts) != 3 or not all(parts):
+                    raise ParseError(f"{path}:{lineno}: expected"
+                                     f" 'head<TAB>relation<TAB>tail'")
+                head, rel, tail = parts
+                h = entity_index.setdefault(head, len(entity_index))
+                r = relation_index.setdefault(rel, len(relation_index))
+                t = entity_index.setdefault(tail, len(entity_index))
+                triples.append((h, r, t))
+                filter_index.setdefault((h, r), set()).add(t)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{_undecodable_line(path)}: line is not"
+                             f" valid UTF-8") from exc
     return np.array(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 (0 if none).
+
+    Text mode decodes a file in chunks, ahead of the line being parsed, so
+    its error does not say which line held the bad bytes.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # the same line breaks as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return 0
 
 
 def load_triples(train_path, valid_path, test_path) -> TripleStore:

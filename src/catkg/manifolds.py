@@ -29,6 +29,9 @@ BOUNDARY_EPS = 1e-5
 # Inner products fed to arccos are clamped this far inside [-1, 1].
 COS_CLAMP = 1e-7
 
+# Sphere points keep their last coordinate at least this far above -1.
+CHART_MARGIN = 1e-6
+
 _NORM_FLOOR_SQ = 1e-32
 
 
@@ -43,6 +46,11 @@ def check_curvature(c) -> float:
 def safe_norm(x, keepdims: bool = True) -> Tensor:
     """Euclidean norm over the last axis, floored away from exact zero."""
     return T.norm(x, _NORM_FLOOR_SQ, keepdims)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The values of :func:`safe_norm` for an array, off the tape."""
+    return np.sqrt((a * a).sum(axis=-1, keepdims=True) + _NORM_FLOOR_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,33 @@ def poincare_distance(x, y, c) -> Tensor:
     return (2.0 / sc) * T.arctanh(sc * safe_norm(diff, keepdims=False))
 
 
+def radial_clip(x, radius: float) -> Tensor:
+    """Pull rows longer than ``radius`` back to it: ``x·min(1, radius/|x|)``.
+
+    With ``radius = artanh(1 - BOUNDARY_EPS)/sqrt(c)`` this is the round
+    trip ``log0(project_ball(exp0(x, c), c), c)`` as one taped op: exp0
+    lands every row inside the ball, the projection caps its radius, and
+    log0 undoes exp0. The backward passes the gradient of unclipped rows
+    through and projects it off the radial direction, scaled by
+    ``radius/|x|``, on clipped ones.
+    """
+    x = T.as_tensor(x)
+    n = _row_norms(x.data)
+    scale = np.minimum(1.0, radius / n)
+    out = Tensor(x.data * scale, x.requires_grad)
+
+    def backward_fn(g):
+        gx = g * scale
+        clipped = n > radius
+        if clipped.any():
+            unit = x.data / n
+            gx -= unit * ((unit * gx).sum(axis=-1, keepdims=True) * clipped)
+        return (gx,)
+
+    T._record(out, (x,), backward_fn)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Unit hypersphere, charts at the north pole
 # ---------------------------------------------------------------------------
@@ -159,7 +194,7 @@ def sphere_exp_mu(v) -> Tensor:
     return T.cos(n) * mu + T.sin(n) / n * v
 
 
-def sphere_chart_clamp(x, margin: float = 1e-6) -> Tensor:
+def sphere_chart_clamp(x, margin: float = CHART_MARGIN) -> Tensor:
     """Retract unit-sphere points into the domain of :func:`sphere_log_mu`.
 
     The log map's chart excludes a small cap around the antipode -μ.
@@ -206,3 +241,60 @@ def sphere_log_mu(x) -> Tensor:
     theta = T.arccos(cos_t)
     u = x - cos_t * mu
     return theta * u / safe_norm(u)
+
+
+def sphere_fold(x) -> Tensor:
+    """``sphere_log_mu(sphere_chart_clamp(sphere_exp_mu([x; 0])))`` per row.
+
+    This is what the spherical branch computes for a lone token, whose
+    pooled point is its own lifted point. The output has one more
+    coordinate than ``x``. With n = |x| (floored as in :func:`safe_norm`),
+    s = sin n and c = cos n the chain reduces to
+
+        last  = max(c, -1 + CHART_MARGIN)          (chart clamp)
+        cos_t = clip(last, ±(1 - COS_CLAMP))       (log map's clamp)
+        b     = last - cos_t,  r = |(s, b)|
+        y     = arccos(cos_t) · (s·x/n, b) / r
+
+    so y = [x; 0] for norms between arccos(1 - COS_CLAMP) ≈ 4.47e-4 and
+    π - 1.4e-3. Below, the angle is floored at arccos(1 - COS_CLAMP) and
+    the last coordinate is nonzero. Within ~1.4e-3 of π the chart clamp
+    caps it at arccos(-1 + CHART_MARGIN). Above π the token folds back
+    along -x̂ (|x| = 4 gives 2π - 4). One taped op; the backward is the
+    closed-form derivative of each regime, with no gradient through a
+    clamped angle.
+    """
+    x = T.as_tensor(x)
+    n = _row_norms(x.data)
+    s, c = np.sin(n), np.cos(n)
+    last = np.maximum(c, -1.0 + CHART_MARGIN)
+    cos_t = np.clip(last, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
+    theta = np.arccos(cos_t)
+    b = last - cos_t  # nonzero only where the top of the clamp binds
+    r = np.sqrt(s * s + b * b)
+    f = theta * s / r  # θ·sign(s) wherever b = 0
+    out = Tensor(np.concatenate([x.data * (f / n), theta * b / r], axis=-1),
+                 x.requires_grad)
+
+    def backward_fn(g):
+        gt, gl = g[..., :-1], g[..., -1:]
+        unit = x.data / n
+        radial = (unit * gt).sum(axis=-1, keepdims=True)
+        # Radial slope: d(θ·sign s)/dn = 1 where θ = arccos(cos n) is free,
+        # 0 where the chart clamp fixes it; the last output coordinate only
+        # moves where the top clamp binds (b > 0), handled below.
+        rho = np.where(c < -1.0 + CHART_MARGIN, 0.0, radial)
+        tiny = b > 0.0
+        if tiny.any():
+            # y = θ·v/r with v = (s·x/n, c - cos_t) and θ fixed.
+            w = (s * radial + b * gl) / r
+            gv_t = theta / r * (radial - s / r * w)
+            gv_l = theta / r * (gl - b / r * w)
+            rho = np.where(tiny, c * gv_t - s * gv_l, rho)
+        gx = gt - unit * radial
+        gx *= f / n
+        gx += unit * rho
+        return (gx,)
+
+    T._record(out, (x,), backward_fn)
+    return out

@@ -27,8 +27,12 @@ class AdamW:
 
     The decay multiplies parameters by ``(1 - lr * weight_decay)``
     separately from (and before) the gradient step, so it is applied even
-    when gradients are zero. A non-finite gradient rejects the whole step
-    before any parameter is touched.
+    when gradients are zero. A parameter whose gradient is ``None`` is
+    updated as if its gradient were zero. A non-finite gradient rejects
+    the whole step before any parameter is touched. Each step computes
+    the update in two scratch arrays sized to the largest parameter and
+    shared by every parameter. They are freed after the step: kept for the
+    whole run, they would add their size to the run's peak memory.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -41,6 +45,8 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._largest = max((p.data.size for p in self.params.values()),
+                            default=0)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -54,17 +60,32 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
+        scratch = np.empty((2, self._largest))
         for name, p in self.params.items():
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad
             m = self._m[name]
             v = self._v[name]
+            a, b = (buf[:p.data.size].reshape(p.data.shape)
+                    for buf in scratch)
+            # m += (1-β1)·g and v += ((1-β2)·g)·g; a zero gradient adds 0.
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if g is not None:
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                np.multiply(g, 1.0 - self.beta2, out=a)
+                a *= g
+                v += a
+            # p -= (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b *= self.lr
+            b /= a
+            p.data -= b
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -214,8 +235,12 @@ def train(store: TripleStore, cfg: TrainConfig,
             loss_sum += loss_value * idx.size
 
         lr_used = opt.lr
-        valid_metrics, mean_alpha = evaluate(store, model, "valid",
-                                             collect_alpha=True)
+        try:
+            valid_metrics, mean_alpha = evaluate(store, model, "valid",
+                                                 collect_alpha=True)
+        except NumericsError as exc:
+            raise NumericsError(
+                f"{exc} at epoch {epoch} (validation)") from exc
         record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_train,

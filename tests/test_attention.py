@@ -229,6 +229,138 @@ class TestSphericalBranch:
             assert np.all(np.isfinite(out))
 
 
+# Token norms around every edge of the one-token closed forms: the log
+# map's clamp at arccos(1 - COS_CLAMP) ≈ 4.47e-4, the chart clamp at
+# π ± 1.4e-3, the antipode π itself and the folds beyond it.
+EDGE_NORMS = (1e-5, 1e-4, 4.4e-4, 4.5e-4, 0.5, 3.0, np.pi - 1.5e-3,
+              np.pi - 1e-3, np.pi, np.pi + 1e-3, 4.0, 7.0, 10.0)
+
+
+def general_euclidean(branch, x):
+    attended, _ = branch.attend(x)
+    h = branch.ln1(x + attended)
+    return branch.ln2(h + branch.ff(h))
+
+
+def general_hyperbolic(branch, x):
+    batch, n, d = x.shape
+    weights = branch.attend(x)
+    v = M.project_ball(M.exp0(branch.wv(x), branch.c), branch.c)
+    scaled = M.mobius_scalar_mul(weights.reshape(batch, n, n, 1),
+                                 v.reshape(batch, 1, n, d), branch.c)
+    mixed = M.project_ball(scaled.sum(axis=2), branch.c)
+    return branch.ff(M.log0(mixed, branch.c))
+
+
+def general_spherical(branch, x):
+    points, weights = branch.attend(x)
+    pooled = M.sphere_project(weights @ points)
+    return branch.ff(M.sphere_log_mu(M.sphere_chart_clamp(pooled)))
+
+
+def unit_rows(n, d, seed):
+    rows = np.random.default_rng(seed).normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+class TestOneTokenClosedForms:
+    """Each branch's one-token path against its general path at N = 1.
+
+    The general path is written out here (``attend`` plus the map chain),
+    so the comparison does not go through the branch's own dispatch.
+    """
+
+    @staticmethod
+    def _forward_backward(branch, forward, x, probe):
+        params = branch.parameters()
+        for p in params.values():
+            p.grad = None
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = forward(t)
+            loss = (out * Tensor(probe)).sum()
+        tape.backward(loss)
+        return out.data, t.grad, {k: p.grad for k, p in params.items()}
+
+    def _both(self, branch, general, x):
+        probe = np.random.default_rng(50).normal(size=x.shape)
+        return (self._forward_backward(branch, branch, x, probe),
+                self._forward_backward(
+                    branch, lambda t: general(branch, t), x, probe))
+
+    @pytest.mark.parametrize("d,heads,batch", [(8, 2, 13), (64, 4, 128)])
+    def test_euclidean_is_bitwise_the_general_path(self, d, heads, batch):
+        branch = EuclideanBranch(d, heads, 2, "gelu", seed=51)
+        x = np.random.default_rng(52).normal(size=(batch, 1, d))
+        (y, gx, grads), (y0, gx0, grads0) = self._both(
+            branch, general_euclidean, x)
+        assert np.array_equal(y, y0)
+        assert np.array_equal(gx, gx0)
+        for name, g in grads.items():
+            if name.startswith(("wq.", "wk.")):
+                # The general path gives them an exact zero.
+                assert g is None and not grads0[name].any(), name
+            else:
+                assert np.array_equal(g, grads0[name]), name
+
+    def test_hyperbolic_is_a_radial_clip(self):
+        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=53)
+        # |wv(x)| takes each edge norm, then straddles r_max; wv's bias
+        # starts at zero, so |wv(x)| scales with the row.
+        target = np.array(EDGE_NORMS + (branch.r_max * (1 - 1e-6),
+                                        branch.r_max * (1 + 1e-6)))
+        rows = unit_rows(target.size, 8, seed=54)
+        scale = target / np.linalg.norm(branch.wv(Tensor(rows)).data, axis=-1)
+        x = (rows * scale[:, None]).reshape(-1, 1, 8)
+        reached = np.linalg.norm(branch.wv(Tensor(x)).data[:, 0], axis=-1)
+        assert reached[-2] < branch.r_max < reached[-1]
+        (y, gx, grads), (y0, gx0, grads0) = self._both(
+            branch, general_hyperbolic, x)
+        assert_allclose(y, y0, rtol=0, atol=1e-10)
+        assert_allclose(gx, gx0, rtol=0, atol=1e-8)
+        for name, g in grads.items():
+            if name.startswith("wq."):
+                assert g is None and not grads0[name].any(), name
+            else:
+                assert_allclose(g, grads0[name], rtol=0, atol=1e-8,
+                                err_msg=name)
+
+    def test_spherical_is_a_radial_fold(self):
+        branch = SphericalBranch(8, 2, "gelu", seed=55)
+        norms = np.array(EDGE_NORMS)
+        units = unit_rows(norms.size, 8, seed=56)
+        x = (units * norms[:, None]).reshape(-1, 1, 8)
+        (y, gx, grads), (y0, gx0, grads0) = self._both(
+            branch, general_spherical, x)
+        assert_allclose(y, y0, rtol=0, atol=1e-10)
+        for name, g in grads.items():
+            assert_allclose(g, grads0[name], rtol=0, atol=1e-8, err_msg=name)
+        gx, gx0 = gx[:, 0], gx0[:, 0]
+        radial = (gx * units).sum(axis=-1, keepdims=True)
+        radial0 = (gx0 * units).sum(axis=-1, keepdims=True)
+        assert_allclose(gx - radial * units, gx0 - radial0 * units,
+                        rtol=0, atol=1e-8)
+        # At |x| = π exactly the general path's chart clamp rescales a
+        # tangential part of ~1e-16 by ~1e13, so its slope along x is
+        # rounding (seen as ±k/(2π) for small integers k). The closed form
+        # gives the slope the clamp has on both sides of π: zero.
+        at_pi = norms == np.pi
+        assert_allclose(radial[~at_pi], radial0[~at_pi], rtol=0, atol=1e-8)
+        assert np.abs(radial[at_pi]).max() < 1e-12
+        clamped = np.abs(norms - np.pi) < 1.4e-3
+        assert np.abs(radial0[clamped & ~at_pi]).max() < 1e-8
+
+    def test_general_path_still_serves_sequences(self):
+        rng = np.random.default_rng(57)
+        x = Tensor(tokens(rng, n=3))
+        for branch, general in (
+                (EuclideanBranch(8, 2, 2, "gelu", seed=58), general_euclidean),
+                (HyperbolicBranch(8, 1.0, 2, "gelu", seed=59),
+                 general_hyperbolic),
+                (SphericalBranch(8, 2, "gelu", seed=60), general_spherical)):
+            assert np.array_equal(branch(x).data, general(branch, x).data)
+
+
 class TestRouter:
     def test_zero_input_routes_uniformly(self):
         router = Router(8, 8, "gelu", seed=16)

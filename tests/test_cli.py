@@ -445,6 +445,27 @@ class TestErrorSurface:
         assert code == 1
         assert stderr.startswith("error: parse-error: ")
 
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"model.d = 16\nmodel.heads = \xff\n")
+        code, _, stderr = run_cli(["train", "--config", str(cfg)])
+        assert code == 1
+        assert stderr.startswith("error: parse-error: ")
+        assert "bad.cfg" in stderr
+
+    def test_dataset_that_is_not_utf8_exits_one(self, tmp_path):
+        paths = write_dataset(tmp_path)
+        broken = tmp_path / "valid.txt"
+        lines = broken.read_bytes().splitlines(keepends=True)
+        lines[3] = b"caf\xe9\tr0\te1\n"  # Latin-1, not UTF-8
+        broken.write_bytes(b"".join(lines))
+        cfg_path = write_config(tmp_path, paths)
+        code, _, stderr = run_cli(["train", "--config", str(cfg_path),
+                                   "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert stderr.startswith("error: parse-error: ")
+        assert f"{broken}:4" in stderr
+
     def test_config_without_data_paths_exits_one(self, tmp_path):
         cfg = tmp_path / "nodata.cfg"
         cfg.write_text("model.d = 16\nmodel.heads = 2\n", encoding="utf-8")

@@ -92,6 +92,21 @@ class TestLoadTriples:
             load_triples(str(p), str(ok), str(ok))
         assert f"{p}:{lineno}" in str(info.value)
 
+    @pytest.mark.parametrize("content,lineno", [
+        (b"a\tr\tb\nb\tr\t\xff\n", 2),
+        (b"a\tr\tb\r\nb\tr\ta\r\n\xe2\x82\tr\tb\r\n", 3),
+        # a bad byte past the first 8 KiB text-mode chunk
+        (b"a\tr\tb\n" * 3000 + b"b\tr\t\xc3(\n", 3001),
+    ], ids=["lf", "crlf", "past-first-chunk"])
+    def test_invalid_utf8_reports_position(self, tmp_path, content, lineno):
+        p = tmp_path / "train.txt"
+        p.write_bytes(content)
+        ok = tmp_path / "ok.txt"
+        write_lines(ok, ["a\tr\tb"])
+        with pytest.raises(ParseError) as info:
+            load_triples(str(ok), str(ok), str(p))
+        assert f"{p}:{lineno}:" in str(info.value)
+
     def test_missing_file_is_a_path_error(self, tmp_path):
         ok = tmp_path / "ok.txt"
         write_lines(ok, ["a\tr\tb"])
@@ -220,8 +235,9 @@ class TestModelScoring:
         assert np.array_equal(a.data, b.data)
 
     def test_cat_training_step_tape_stays_small(self):
-        # One fused node per affine map, layer norm, GELU and norm; going
-        # back to chains of primitives roughly doubles the tape (262 nodes).
+        # One fused node per affine map, layer norm, GELU and norm, and one
+        # closed form per branch for the lone token: 49 nodes. The general
+        # attention path takes 178, and chains of primitives took 262.
         cfg = TrainConfig(d=8, heads=2, seed=3)
         model = KgModel(12, 4, cfg)
         with T.Tape() as tape:
@@ -230,9 +246,17 @@ class TestModelScoring:
                                         rng=np.random.default_rng(0))
             ce = smoothed_ce_loss(logits, [2, 4, 6])
             loss = total_loss(ce, routing_entropy(alpha), 0.01)
-        assert len(tape) <= 180
+        assert len(tape) <= 60
         tape.backward(loss)
         assert np.isfinite(model.entity_emb.grad).all()
+        # Only the projections a lone token's softmax cancels get no gradient.
+        idle = {name for name, p in model.parameters().items()
+                if p.grad is None}
+        assert idle == {f"block.{branch}.{proj}.{kind}"
+                        for branch, proj in (("euclidean", "wq"),
+                                             ("euclidean", "wk"),
+                                             ("hyperbolic", "wq"))
+                        for kind in ("weight", "bias")}
 
     def _training_step(self, model, out=None, clobber=False):
         """Logits and every parameter gradient of one seeded `cat` step.

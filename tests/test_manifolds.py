@@ -514,3 +514,76 @@ class TestGradients:
             out = T.reduce_sum(M.safe_norm(zn))
         tape.backward(out)
         assert np.isfinite(zn.grad).all()
+
+
+class TestOneTokenMaps:
+    """The single-token closed forms against the map chains they replace."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(31)
+
+    def _rows(self, norms, d=6):
+        rows = self.rng.normal(size=(len(norms), d))
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        return rows * np.asarray(norms, dtype=float)[:, None]
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_radial_clip_is_the_ball_round_trip(self, c):
+        r_max = math.atanh(1.0 - M.BOUNDARY_EPS) / math.sqrt(c)
+        x = self._rows([0.0, 1e-5, 0.5, r_max * (1 - 1e-6),
+                        r_max * (1 + 1e-6), 3 * r_max, 100.0])
+        chain = M.log0(M.project_ball(M.exp0(x, c), c), c).data
+        out = M.radial_clip(x, r_max).data
+        assert_allclose(out, chain, rtol=0, atol=1e-10)
+        assert_allclose(np.linalg.norm(out[-3:], axis=-1), r_max, rtol=1e-15)
+        assert np.array_equal(out[:4], x[:4])
+
+    def test_sphere_fold_is_the_pole_chain(self):
+        norms = [0.0, 1e-6, 1e-5, 1e-4, 4.4e-4, 4.5e-4, 0.5, 3.0,
+                 math.pi - 1.5e-3, math.pi - 1e-3, math.pi, math.pi + 1e-3,
+                 4.0, 7.0, 10.0]
+        x = self._rows(norms)
+        lifted = M.sphere_exp_mu(np.concatenate(
+            [x, np.zeros((len(norms), 1))], axis=-1))
+        chain = M.sphere_log_mu(M.sphere_chart_clamp(M.sphere_project(lifted)))
+        assert_allclose(M.sphere_fold(x).data, chain.data, rtol=0, atol=1e-13)
+
+    def test_sphere_fold_edges(self):
+        floor = math.acos(1.0 - M.COS_CLAMP)
+        cap = math.acos(-1.0 + M.CHART_MARGIN)
+        x = self._rows([1e-6, 0.5, 3.0, math.pi - 1.4e-3 + 1e-5, math.pi,
+                        4.0])
+        unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        y = M.sphere_fold(x).data
+        size = np.linalg.norm(y, axis=-1)
+        # Below the log map's clamp the angle is floored and the point
+        # keeps a polar component.
+        assert_allclose(size[0], floor, rtol=1e-12)
+        assert_allclose(y[0, -1], 4.45e-5, rtol=1e-2)
+        # In between it is the identity, with no polar component.
+        assert_allclose(y[1:3, :-1], x[1:3], rtol=0, atol=1e-14)
+        assert np.all(y[1:5, -1] == 0.0)
+        # Next to the antipode the angle is capped by the chart clamp.
+        assert_allclose(size[3:5], cap, rtol=1e-14)
+        assert_allclose(y[3:5, :-1], cap * unit[3:5], rtol=0, atol=1e-14)
+        # Beyond π the token folds back along -x̂.
+        assert_allclose(y[5, :-1], (4.0 - 2 * math.pi) * unit[5],
+                        rtol=0, atol=1e-14)
+
+    def test_gradients_away_from_the_kinks(self):
+        r_max = math.atanh(1.0 - M.BOUNDARY_EPS)
+        x = Tensor(self._rows([0.0, 0.5, 3.0, 5.9, 6.3, 9.0, 40.0]),
+                   requires_grad=True)
+        probe = Tensor(self.rng.normal(size=x.shape))
+        assert grad_check(
+            lambda a: T.reduce_sum(M.radial_clip(a, r_max) * probe), [x]) < 1e-6
+        for norms, step, tol in (
+                ([0.5, 2.0, 4.0, 7.0, math.pi - 1e-3, math.pi + 1e-3],
+                 1e-5, 1e-6),
+                # below the clamp the slope is ~θ/|x|: a finer step
+                ([1e-4, 2e-4, 4e-4], 1e-7, 1e-5)):
+            x = Tensor(self._rows(norms), requires_grad=True)
+            probe = Tensor(self.rng.normal(size=(len(norms), 7)))
+            err = grad_check(lambda a: T.reduce_sum(M.sphere_fold(a) * probe),
+                             [x], step=step)
+            assert err < tol, norms

@@ -96,6 +96,35 @@ class TestAdamW:
         assert np.array_equal(b.data, [2.0])
         assert opt.step_count == 0
 
+    def test_update_is_bitwise_the_allocating_formula(self):
+        # The update as written with fresh temporaries; a None gradient
+        # counts as zeros.
+        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(7)
+        shapes = {"table": (30, 4), "w": (4, 4), "b": (4,), "s": ()}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamW(params, lr, wd, b1, b2, eps)
+        for step in range(1, 7):
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for i, (k, p) in enumerate(params.items()):
+                p.grad = (None if (i + step) % 3 == 0
+                          else rng.normal(size=shapes[k]) * 10.0 ** -step)
+                g = np.zeros(shapes[k]) if p.grad is None else p.grad
+                ref[k] *= 1.0 - lr * wd
+                ref_m[k] = ref_m[k] * b1 + (1.0 - b1) * g
+                ref_v[k] = ref_v[k] * b2 + (1.0 - b2) * g * g
+                ref[k] = ref[k] - lr * (ref_m[k] / bc1) / (
+                    np.sqrt(ref_v[k] / bc2) + eps)
+            opt.step()
+            for k, p in params.items():
+                assert np.array_equal(p.data, ref[k]), (step, k)
+                assert np.array_equal(opt._m[k], ref_m[k]), (step, k)
+                assert np.array_equal(opt._v[k], ref_v[k]), (step, k)
+
     def test_quadratic_bowl_converges(self):
         x = Tensor(np.array([8.0]), requires_grad=True)
         opt = AdamW({"x": x}, lr=0.1)
