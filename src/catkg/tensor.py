@@ -544,6 +544,19 @@ def affine(x, w, b) -> Tensor:
     return out
 
 
+def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
+    """Raise ShapeError unless ``out`` is None or a C-contiguous float64
+    array of ``shape``, as an op that writes into a caller's buffer needs."""
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64
+                                and out.shape == shape
+                                and out.flags.c_contiguous):
+        found = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
+                 else type(out).__name__)
+        raise ShapeError(f"{op} needs a C-contiguous float64 {shape} out"
+                         f" buffer, got {found}")
+
+
 def inner(q, table, out: Array | None = None) -> Tensor:
     """``q @ tableᵀ``: (B, d) queries against every row of an (n, d) table.
 
@@ -556,15 +569,7 @@ def inner(q, table, out: Array | None = None) -> Tensor:
     if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
         raise ShapeError(f"inner needs (B, d) and (n, d) operands, got"
                          f" {q.shape} and {table.shape}")
-    shape = (q.shape[0], table.shape[0])
-    if out is not None and not (isinstance(out, np.ndarray)
-                                and out.dtype == np.float64
-                                and out.shape == shape
-                                and out.flags.c_contiguous):
-        found = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
-                 else type(out).__name__)
-        raise ShapeError(f"inner needs a C-contiguous float64 {shape} out"
-                         f" buffer, got {found}")
+    check_out(out, (q.shape[0], table.shape[0]), "inner")
     y = np.matmul(q.data, table.data.T, out=out)
     result = Tensor(y, q.requires_grad or table.requires_grad)
     _record(result, (q, table),

@@ -204,9 +204,10 @@ def train(store: TripleStore, cfg: TrainConfig,
     best_mrr = -math.inf
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
-    # Every step writes its logits here; the previous step's tape, the only
-    # reader, has been consumed by then.
+    # Every step writes its logits and the loss's exponentials here; the
+    # previous step's tape, the only reader, has been consumed by then.
     logits_buf = np.empty((min(cfg.batch_size, n_train), store.n_entities))
+    exp_buf = np.empty_like(logits_buf)
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -218,7 +219,8 @@ def train(store: TripleStore, cfg: TrainConfig,
                                             training=True, rng=dropout_rng,
                                             out=logits_buf[:idx.size])
                 loss = smoothed_ce_loss(logits, triples[idx, 2],
-                                        cfg.label_smoothing)
+                                        cfg.label_smoothing,
+                                        out=exp_buf[:idx.size])
                 if is_cat:
                     loss = total_loss(loss, routing_entropy(alpha), lam,
                                       cfg.entropy_sign)

@@ -23,13 +23,9 @@ def build_toy_store(n_entities=30, n_relations=4, n_train=110, n_valid=20,
     train, test = rows[:n_train], rows[n_train:]
     valid = train[:n_valid] if valid_from_train else test[:n_valid]
 
-    filter_index = {}
-    for h, r, t in np.concatenate([train, valid, test]):
-        filter_index.setdefault((int(h), int(r)), set()).add(int(t))
-    return TripleStore(
-        entity_index={f"e{i}": i for i in range(n_entities)},
-        relation_index={f"r{i}": i for i in range(n_relations)},
-        train=train, valid=valid, test=test, filter_index=filter_index)
+    return TripleStore.from_splits(
+        {f"e{i}": i for i in range(n_entities)},
+        {f"r{i}": i for i in range(n_relations)}, train, valid, test)
 
 
 def write_store_files(store, directory):

@@ -6,16 +6,20 @@ exactly ln n for any smoothing level, since the target row sums to 1).
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from catkg import tensor as T
 from catkg.config import TrainConfig
-from catkg.errors import (ConfigError, IndexLookupError, NumericsError,
-                          ParseError, PathError, ShapeError)
-from catkg.kg import (LN3, KgModel, Metrics, compose, evaluate,
+from catkg.errors import (ConfigError, IncompatibilityError, IndexLookupError,
+                          NumericsError, ParseError, PathError, ShapeError)
+from catkg.kg import (LN3, FilterIndex, KgModel, Metrics, compose, evaluate,
                       filtered_rank, load_triples, routing_entropy,
                       score_all_tails, smoothed_ce_loss, total_loss)
 from catkg.tensor import Tensor, grad_check
@@ -65,14 +69,14 @@ class TestLoadTriples:
                              valid=["a\tr\tc"],
                              test=["a\tr\td"])
         store = load_triples(files["train"], files["valid"], files["test"])
-        assert store.known_tails(0, 0) == {1, 2, 3}
-        assert store.known_tails(5, 5) == set()
+        assert store.known_tails(0, 0).tolist() == [1, 2, 3]
+        assert store.known_tails(5, 5).tolist() == []
 
     def test_duplicate_triples_collapse_in_filter(self, tmp_path):
         files = make_dataset(tmp_path, train=["a\tr\tb", "a\tr\tb"])
         store = load_triples(files["train"], files["valid"], files["test"])
         assert store.train.shape == (2, 3)  # rows kept as written
-        assert store.known_tails(0, 0) == {1}
+        assert store.known_tails(0, 0).tolist() == [1]
 
     def test_entities_only_in_valid_or_test_enter_vocab(self, tmp_path):
         files = make_dataset(tmp_path, train=["a\tr\tb"],
@@ -97,7 +101,13 @@ class TestLoadTriples:
         (b"a\tr\tb\r\nb\tr\ta\r\n\xe2\x82\tr\tb\r\n", 3),
         # a bad byte past the first 8 KiB text-mode chunk
         (b"a\tr\tb\n" * 3000 + b"b\tr\t\xc3(\n", 3001),
-    ], ids=["lf", "crlf", "past-first-chunk"])
+        # an undecodable file is rejected at its bad byte, even when a
+        # malformed line comes first
+        (b"a\tr\tb\na\tr\n" + b"a\tr\tb\n" * 3000 + b"b\tr\t\xc3(\n",
+         3003),
+        (b"a\tr\tb\na\tr\n\xe2\x82", 3),
+    ], ids=["lf", "crlf", "past-first-chunk", "after-a-malformed-line",
+            "truncated-at-end"])
     def test_invalid_utf8_reports_position(self, tmp_path, content, lineno):
         p = tmp_path / "train.txt"
         p.write_bytes(content)
@@ -137,6 +147,180 @@ class TestLoadTriples:
     def test_split_accessor_validates_name(self, toy_store):
         with pytest.raises(ConfigError):
             toy_store.split("dev")
+
+
+def _reference_parse_file(path, entity_index, relation_index, filter_index):
+    """The line-by-line parser that the whole-file loader replaced."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise PathError(f"cannot read dataset file: {exc}") from exc
+    triples = []
+    with fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\r\n").split("\t")
+                if len(parts) != 3 or not all(parts):
+                    raise ParseError(f"{path}:{lineno}: expected"
+                                     f" 'head<TAB>relation<TAB>tail'")
+                head, rel, tail = parts
+                h = entity_index.setdefault(head, len(entity_index))
+                r = relation_index.setdefault(rel, len(relation_index))
+                t = entity_index.setdefault(tail, len(entity_index))
+                triples.append((h, r, t))
+                filter_index.setdefault((h, r), set()).add(t)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{_undecodable_line(path)}: line is not"
+                             f" valid UTF-8") from exc
+    return np.array(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def _undecodable_line(path) -> int:
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # the same line breaks as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return 0
+
+
+def _reference_load(paths):
+    """The old loader, plus the one rule the whole-file loader changed.
+
+    Text mode decoded ahead of the parser in 8 KiB chunks, so a malformed
+    line was reported before an undecodable byte only when the byte lay in
+    a later chunk. The loader now reports the undecodable byte first.
+    """
+    entity_index, relation_index, filter_index = {}, {}, {}
+    splits = []
+    for path in paths:
+        lineno = _undecodable_line(path)
+        if lineno:
+            raise ParseError(f"{path}:{lineno}: line is not valid UTF-8")
+        splits.append(_reference_parse_file(path, entity_index,
+                                            relation_index, filter_index))
+    return entity_index, relation_index, splits, filter_index
+
+
+_fields = st.lists(st.sampled_from(
+    [b"a", b"b", b"c", b"a b", "é".encode(), "名前".encode(), b"/m/0x"]),
+    min_size=3, max_size=3)
+_good_line = _fields.map(b"\t".join)
+# A bad line has a field too many or too few, or one field empty or cut
+# from a multi-byte sequence.
+_bad_line = st.one_of(
+    _fields.flatmap(
+        lambda f: st.sampled_from([f[:0], f[:1], f[:2], f + f[:1]])),
+    st.tuples(_fields, st.integers(0, 2),
+              st.sampled_from([b"", b"\xff", b"\xc3", b"\xe2\x82"])).map(
+        lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+).map(b"\t".join)
+_breaks = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def _split_files(draw):
+    """Bytes of one split: lines with mixed breaks, maybe a BOM, maybe a
+    final break, maybe 1,400 valid lines (8.4 KB) between two groups.
+    One file in four may hold bad lines, so most examples load."""
+    line = (st.one_of(_good_line, _bad_line) if draw(st.integers(0, 3)) == 0
+            else _good_line)
+    lines = [text + draw(_breaks)
+             for text in draw(st.lists(line, max_size=6))]
+    if draw(st.booleans()):
+        lines.insert(len(lines) // 2, (b"a\tr\tb" + draw(_breaks)) * 1400)
+    data = b"".join(lines)
+    if lines and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.booleans()):
+        data = "\ufeff".encode() + data
+    return data
+
+
+_OK = b"a\tr\tb\n"
+_PAST_8K = b"c\tr\td\n" * 1400
+
+
+class TestLoaderMatchesLineByLine:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_split_files(), _split_files(), _split_files())
+    @example(b"a\tr\tb\r\nb\tr\tc\r\n", b"a\tr\tc\rc\tr\tb\r", _OK)
+    @example(b"a\tr\tb\nb\tr\tc", b"\xef\xbb\xbfa\tr\tb\n", b"")
+    @example(_OK + _OK + "é\tr\t名前\n".encode(), _OK, _OK)
+    @example(_OK + b"\n", _OK, _OK)
+    @example(_OK, b"\ta\tb\n", _OK)
+    @example(_OK, b"a\t\tb\n", _OK)
+    @example(_OK, b"a\tb\t\n", _OK)
+    @example(_OK + b"b\tr\t\xff\n" + _PAST_8K, _OK, _OK)
+    @example(_OK, _PAST_8K + b"b\tr\t\xc3(\n", _OK)
+    @example(_OK, b"a\tr\n" + _PAST_8K + b"\xe2\x82", _OK)
+    def test_same_store_or_same_error(self, train, valid, test):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, data in (("train", train), ("valid", valid),
+                               ("test", test)):
+                path = Path(tmp) / f"{name}.txt"
+                path.write_bytes(data)
+                paths.append(str(path))
+            try:
+                expected = _reference_load(paths)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    load_triples(*paths)
+                assert str(info.value) == str(exc)
+                return
+            store = load_triples(*paths)
+        entity_index, relation_index, splits, filter_index = expected
+        assert list(store.entity_index.items()) == list(entity_index.items())
+        assert (list(store.relation_index.items())
+                == list(relation_index.items()))
+        for name, rows in zip(("train", "valid", "test"), splits):
+            got = store.split(name)
+            assert got.dtype == np.int64 and np.array_equal(got, rows)
+        assert len(store.filter_index) == len(filter_index)
+        assert ({key: set(tails.tolist())
+                 for key, tails in store.filter_index.items()}
+                == filter_index)
+        for (h, r), tails in filter_index.items():
+            assert store.known_tails(h, r).tolist() == sorted(tails)
+
+
+class TestFilterIndex:
+    def test_mapping_view(self):
+        index = FilterIndex(np.array([[0, 0, 2], [0, 0, 1], [1, 1, 0],
+                                      [0, 0, 2]]), 3, 2)
+        assert {k: v.tolist() for k, v in index.items()} == {
+            (0, 0): [1, 2], (1, 1): [0]}
+        assert len(index) == 2 and (0, 1) not in index
+        with pytest.raises(KeyError):
+            index[0, 1]
+        # (0, 2) would alias the codes of (1, 0) if relations were not
+        # checked against the vocabulary.
+        for h, r in ((0, 1), (3, 0), (0, 2), (-1, 0)):
+            assert index.known_tails(h, r).tolist() == []
+        with pytest.raises(ValueError):
+            index[0, 0][0] = 5
+
+    def test_spans_delimit_each_pairs_tails(self):
+        store = build_toy_store(n_entities=9, n_relations=3, n_train=60)
+        index = store.filter_index
+        heads, relations = store.test[:, 0], store.test[:, 1]
+        lo, hi = index.spans(heads, relations)
+        for h, r, a, b in zip(heads, relations, lo, hi):
+            assert np.array_equal(index.tails[a:b], index[h, r])
+
+    def test_codes_that_would_overflow_int64_are_refused(self):
+        # 2^63 - 1 = 49 · (2^63 - 1) / 49: with 7 entities, this many
+        # relations put the last code at exactly 2^63 - 2.
+        relations = np.iinfo(np.int64).max // 49
+        index = FilterIndex(np.array([[6, relations - 1, 6]]), 7, relations)
+        assert index.known_tails(6, relations - 1).tolist() == [6]
+        for n_entities, n_relations in ((7, relations + 1), (2 ** 32, 2)):
+            with pytest.raises(IncompatibilityError):
+                FilterIndex(np.empty((0, 3)), n_entities, n_relations)
 
 
 class TestCompose:
@@ -418,6 +602,34 @@ class TestSmoothedCE:
         tape.backward(loss)
         assert np.array_equal(logits.data, x)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_exponentials_buffer_matches_a_new_array(self, eps):
+        x = np.random.default_rng(5).normal(size=(4, 7)) * 30
+        results = []
+        for out in (None, np.full((4, 7), np.nan)):
+            logits = Tensor(x.copy(), requires_grad=True)
+            with T.Tape() as tape:
+                loss = smoothed_ce_loss(logits, [0, 6, 3, 3], eps, out=out)
+            tape.backward(loss)
+            results.append((loss.data, logits.grad))
+        (loss, grad), (buffered_loss, buffered_grad) = results
+        assert np.array_equal(loss, buffered_loss)
+        assert np.array_equal(grad, buffered_grad)
+
+    @pytest.mark.parametrize("buf", [
+        np.empty((4, 5)),              # another number of classes
+        np.empty((3, 7)),              # batch of another size
+        np.empty((4, 7), np.float32),
+        np.empty((4, 7), order="F"),
+        np.empty((4, 14))[:, ::2],
+        "logits",                      # the logits themselves
+    ])
+    def test_bad_exponentials_buffer_is_rejected(self, buf):
+        logits = Tensor(np.zeros((4, 7)))
+        with pytest.raises(ShapeError):
+            smoothed_ce_loss(logits, [0, 1, 2, 3],
+                             out=logits.data if isinstance(buf, str) else buf)
+
     def test_gradient(self):
         rng = np.random.default_rng(4)
         logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -582,7 +794,7 @@ class TestEvaluate:
         store = build_toy_store(n_entities=4, n_relations=1, n_train=3,
                                 n_test=1, n_valid=1)
         store.train = np.array([[0, 0, 0], [1, 0, 1], [2, 0, 2]])
-        store.filter_index = {}
+        store.filter_index = FilterIndex(np.empty((0, 3)), 4, 1)
         rows = np.array([
             [9.0, 1.0, 1.0, 1.0],   # t=0 ranks 1
             [9.0, 5.0, 1.0, 1.0],   # t=1 ranks 2
@@ -600,7 +812,7 @@ class TestEvaluate:
         store = build_toy_store(n_entities=4, n_relations=1, n_train=3,
                                 n_test=1, n_valid=1)
         store.train = np.array([[0, 0, 0], [1, 0, 1]])
-        store.filter_index = {}
+        store.filter_index = FilterIndex(np.empty((0, 3)), 4, 1)
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
         rows[row, 2 * row] = np.nan
         with pytest.raises(NumericsError):

@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from catkg import tensor as T
+from catkg import trainer as trainer_mod
 from catkg.config import TrainConfig
 from catkg.errors import (IncompatibilityError, NumericsError,
                           UnsupportedVariantError)
@@ -298,6 +299,36 @@ class TestTrainLoop:
         steps = [out for training, out in seen if training]
         assert [out.shape[0] for out in steps] == [25, 25, 10] * 2
         assert all(np.shares_memory(out, steps[0]) for out in steps)
+
+    def test_loss_buffer_is_reused_only_after_backward(self, store,
+                                                       monkeypatch):
+        # The loss's exponentials become the logits gradient, so the buffer
+        # holds live data until backward has run; poisoning it right after
+        # backward must leave the run unchanged.
+        cfg = small_cfg(epochs=2, batch_size=25)
+        plain = train(store, cfg)
+        seen = []
+        loss = trainer_mod.smoothed_ce_loss
+
+        def spy(logits, targets, epsilon, out=None):
+            seen.append(out)
+            return loss(logits, targets, epsilon, out=out)
+
+        backward = Tape.backward
+
+        def poisoned(self, root):
+            backward(self, root)
+            seen[-1].fill(np.nan)
+
+        monkeypatch.setattr(trainer_mod, "smoothed_ce_loss", spy)
+        monkeypatch.setattr(Tape, "backward", poisoned)
+        result = train(store, cfg)
+        assert [out.shape[0] for out in seen] == [25, 25, 10] * 2
+        assert all(np.shares_memory(out, seen[0]) for out in seen)
+        assert result.log_text() == plain.log_text()
+        params = result.model.parameters()
+        for name, p in plain.model.parameters().items():
+            assert np.array_equal(p.data, params[name].data), name
 
     def test_divergence_raises_with_location(self, store):
         with warnings.catch_warnings():
