@@ -58,7 +58,7 @@ class FilterIndex(Mapping):
         h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
         self.codes = _distinct(np.sort((h * n_relations + r) * n_entities
                                        + t))
-        self.tails = self.codes % max(n_entities, 1)
+        self.tails = self.codes % n_entities
         self.codes.flags.writeable = False
         self.tails.flags.writeable = False
 
@@ -87,7 +87,7 @@ class FilterIndex(Mapping):
 
     def _pairs(self) -> np.ndarray:
         """The ``h·R + r`` of every pair with a known tail, ascending."""
-        return _distinct(self.codes // max(self.n_entities, 1))
+        return _distinct(self.codes // self.n_entities)
 
     def __iter__(self):
         return (divmod(pair, self.n_relations)
