@@ -24,6 +24,11 @@ from .tensor import Tensor
 
 LN3 = float(np.log(3.0))
 
+# Values per row block of smoothed_ce_loss's single pass: 768 KiB of
+# float64, so a block of the logits and of its gradient share a 2 MiB L2
+# (six rows of 14,541 entities), and a (512, 135) batch is one block.
+CE_BLOCK_ELEMENTS = 3 * 2 ** 15
+
 SPLITS = ("train", "valid", "test")
 
 
@@ -326,10 +331,12 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     The target row puts 1 - epsilon on the true tail and spreads epsilon
     uniformly over the other ``n - 1`` entities. ``logits`` is (B, n) with
     B >= 1 and ``targets`` holds exactly one class index per row.
-    With ``out``, a C-contiguous float64 (B, n) array apart from the
-    logits, the forward's exponentials and then the backward's gradient
-    are written into it; the caller may reuse it only after the tape's
-    backward has run. Without ``out`` a new array is allocated.
+    One pass over row blocks of about :data:`CE_BLOCK_ELEMENTS` values
+    computes the loss and, when the logits need a gradient, the gradient
+    for a unit upstream gradient. It is written into ``out``, a
+    C-contiguous float64 (B, n) array apart from the logits, which holds
+    it from the forward onward; the caller may reuse ``out`` only after
+    the tape's backward has run. Without ``out`` a new array is allocated.
     """
     if not 0 <= epsilon < 1:
         raise ConfigError(f"label smoothing must be in [0, 1), got {epsilon}")
@@ -358,26 +365,41 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     batch = targets.size
     rows = np.arange(batch)
     x = logits.data
-    top = x.max(axis=-1, keepdims=True)
-    e = np.subtract(x, top, out=out)
-    np.exp(e, out=e)
-    z = e.sum(axis=-1, keepdims=True)
-    shift = (top + np.log(z))[:, 0]
+    grad = np.empty(x.shape) if out is None else out
+    inv_batch = 1.0 / batch
+    shift = np.empty(batch)
+    x_sum = np.empty(batch)
+    # Every reduction runs over whole rows, so blocking leaves the sums,
+    # and so the loss and the gradient, bitwise unchanged.
+    step = max(1, CE_BLOCK_ELEMENTS // n)
+    for start in range(0, batch, step):
+        block = slice(start, start + step)
+        xb = x[block]
+        e = grad[block]
+        top = xb.max(axis=-1, keepdims=True)
+        np.subtract(xb, top, out=e)
+        np.exp(e, out=e)
+        z = e.sum(axis=-1, keepdims=True)
+        shift[block] = (top + np.log(z))[:, 0]
+        xb.sum(axis=-1, out=x_sum[block])
+        if logits.requires_grad:
+            # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
+            e *= inv_batch / z
+            e -= off * inv_batch
     loss = -(on * (x[rows, targets] - shift)
-             + off * (x.sum(axis=-1) - n * shift)).mean()
-    out = Tensor(loss, logits.requires_grad)
+             + off * (x_sum - n * shift)).mean()
+    if logits.requires_grad:
+        grad[rows, targets] -= on * inv_batch
+    result = Tensor(loss, logits.requires_grad)
 
     def backward_fn(g):
-        # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B; written
-        # into e (the tape runs this once), never into the logits.
-        scale = g / batch
-        grad = np.multiply(e, scale / z, out=e)
-        grad -= off * scale
-        grad[rows, targets] -= on * scale
+        # The tape runs this once; a training step's g is exactly 1.
+        if g != 1.0:
+            np.multiply(grad, g, out=grad)
         return (grad,)
 
-    T._record(out, (logits,), backward_fn)
-    return out
+    T._record(result, (logits,), backward_fn)
+    return result
 
 
 def routing_entropy(alpha: Tensor) -> Tensor:

@@ -192,6 +192,10 @@ class Tape:
             for t in inputs:
                 tensors[id(t)] = t
 
+        # Ids whose gradient is a sum this tape allocated. Any other
+        # gradient came from a backward_fn and may alias a caller's buffer
+        # or another input's gradient, so a leaf gets a copy of it.
+        summed = set()
         for out, inputs, backward_fn in reversed(self._nodes):
             g = grads.pop(id(out), None)
             if g is None:
@@ -200,12 +204,19 @@ class Tape:
                 if ig is None or not t.requires_grad:
                     continue
                 acc = grads.get(id(t))
-                grads[id(t)] = ig if acc is None else acc + ig
+                if acc is None:
+                    grads[id(t)] = ig
+                else:
+                    grads[id(t)] = acc + ig
+                    summed.add(id(t))
 
         for tid, g in grads.items():
             t = tensors[tid]
             if t.requires_grad and tid not in produced:
-                t.grad = g.copy() if t.grad is None else t.grad + g
+                if t.grad is not None:
+                    t.grad = t.grad + g
+                else:
+                    t.grad = g if tid in summed else g.copy()
         self._nodes.clear()
         self._consumed = True
 

@@ -22,6 +22,12 @@ from .kg import (KgModel, TripleStore, evaluate, routing_entropy,
 from .tensor import Tensor
 
 
+# Values per block of AdamW's update: 256 KiB of float64, so the six
+# arrays a block touches (parameter, gradient, both moments, two scratch
+# arrays) stay within a 2 MiB L2.
+ADAMW_BLOCK_ELEMENTS = 2 ** 15
+
+
 class AdamW:
     """Adaptive moments with bias correction and decoupled weight decay.
 
@@ -29,10 +35,11 @@ class AdamW:
     separately from (and before) the gradient step, so it is applied even
     when gradients are zero. A parameter whose gradient is ``None`` is
     updated as if its gradient were zero. A non-finite gradient rejects
-    the whole step before any parameter is touched. Each step computes
-    the update in two scratch arrays sized to the largest parameter and
-    shared by every parameter. They are freed after the step: kept for the
-    whole run, they would add their size to the run's peak memory.
+    the whole step before any parameter is touched. Each step runs the
+    update over leading-axis row blocks of about
+    :data:`ADAMW_BLOCK_ELEMENTS` values, views of the parameter, its
+    gradient and moments in any memory order, in two scratch arrays of
+    one block each.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -45,8 +52,6 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._largest = max((p.data.size for p in self.params.values()),
-                            default=0)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -60,32 +65,45 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        scratch = np.empty((2, self._largest))
+        # A block holds whole rows, so a row wider than a block widens it.
+        width = max([ADAMW_BLOCK_ELEMENTS] + [math.prod(p.data.shape[1:])
+                                              for p in self.params.values()])
+        scratch = np.empty((2, width))
         for name, p in self.params.items():
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            a, b = (buf[:p.data.size].reshape(p.data.shape)
-                    for buf in scratch)
-            # m += (1-β1)·g and v += ((1-β2)·g)·g; a zero gradient adds 0.
-            m *= self.beta1
-            v *= self.beta2
-            if g is not None:
-                np.multiply(g, 1.0 - self.beta1, out=a)
-                m += a
-                np.multiply(g, 1.0 - self.beta2, out=a)
-                a *= g
-                v += a
-            # p -= (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, bc1, out=b)
-            b *= self.lr
-            b /= a
-            p.data -= b
+            # atleast_1d views a 0-d array; basic slices below are views.
+            data, m, v = (np.atleast_1d(t) for t in
+                          (p.data, self._m[name], self._v[name]))
+            grad = None if p.grad is None else np.atleast_1d(p.grad)
+            rows = max(1, ADAMW_BLOCK_ELEMENTS
+                       // max(math.prod(data.shape[1:]), 1))
+            for start in range(0, data.shape[0], rows):
+                block = slice(start, start + rows)
+                self._update(data[block], None if grad is None
+                             else grad[block], m[block], v[block],
+                             scratch, bc1, bc2)
+
+    def _update(self, p, g, m, v, scratch, bc1, bc2) -> None:
+        """One block of the update, in place in ``p``, ``m`` and ``v``."""
+        a, b = (buf[:p.size].reshape(p.shape) for buf in scratch)
+        if self.weight_decay:
+            p *= 1.0 - self.lr * self.weight_decay
+        # m += (1-β1)·g and v += ((1-β2)·g)·g; a zero gradient adds 0.
+        m *= self.beta1
+        v *= self.beta2
+        if g is not None:
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+        # p -= (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, bc1, out=b)
+        b *= self.lr
+        b /= a
+        p -= b
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -204,10 +222,10 @@ def train(store: TripleStore, cfg: TrainConfig,
     best_mrr = -math.inf
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
-    # Every step writes its logits and the loss's exponentials here; the
+    # Every step writes its logits and the loss's gradient here; the
     # previous step's tape, the only reader, has been consumed by then.
     logits_buf = np.empty((min(cfg.batch_size, n_train), store.n_entities))
-    exp_buf = np.empty_like(logits_buf)
+    grad_buf = np.empty_like(logits_buf)
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -220,7 +238,7 @@ def train(store: TripleStore, cfg: TrainConfig,
                                             out=logits_buf[:idx.size])
                 loss = smoothed_ce_loss(logits, triples[idx, 2],
                                         cfg.label_smoothing,
-                                        out=exp_buf[:idx.size])
+                                        out=grad_buf[:idx.size])
                 if is_cat:
                     loss = total_loss(loss, routing_entropy(alpha), lam,
                                       cfg.entropy_sign)

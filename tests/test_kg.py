@@ -7,6 +7,7 @@ exactly ln n for any smoothing level, since the target row sums to 1).
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from catkg import kg as kg_mod
 from catkg import tensor as T
 from catkg.config import TrainConfig
 from catkg.errors import (ConfigError, IncompatibilityError, IndexLookupError,
@@ -29,6 +31,29 @@ from conftest import build_toy_store, write_store_files
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def unblocked_smoothed_ce(x, targets, epsilon):
+    """The loss and its gradient for a unit upstream gradient, in the
+    whole-array passes smoothed_ce_loss made before it walked row blocks.
+    """
+    n = x.shape[-1]
+    off = epsilon / (n - 1)
+    on = 1.0 - epsilon - off
+    batch = targets.size
+    rows = np.arange(batch)
+    top = x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, top)
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
+    shift = (top + np.log(z))[:, 0]
+    loss = -(on * (x[rows, targets] - shift)
+             + off * (x.sum(axis=-1) - n * shift)).mean()
+    scale = np.ones(()) / batch
+    grad = np.multiply(e, scale / z, out=e)
+    grad -= off * scale
+    grad[rows, targets] -= on * scale
+    return loss, grad
 
 
 def make_dataset(tmp_path, train, valid=None, test=None):
@@ -442,6 +467,24 @@ class TestModelScoring:
                                              ("hyperbolic", "wq"))
                         for kind in ("weight", "bias")}
 
+    def test_leaf_gradients_share_no_memory(self):
+        model = KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3))
+        logits_buf, loss_buf = np.empty((4, 12)), np.empty((4, 12))
+        with T.Tape() as tape:
+            logits, alpha = model.score(np.array([0, 5, 9, 5]),
+                                        np.array([1, 3, 0, 2]), training=True,
+                                        rng=np.random.default_rng(0),
+                                        out=logits_buf)
+            ce = smoothed_ce_loss(logits, [2, 4, 6, 11], out=loss_buf)
+            loss = total_loss(ce, routing_entropy(alpha), 0.01)
+        tape.backward(loss)
+        grads = [p.grad for p in model.parameters().values()
+                 if p.grad is not None]
+        for i, g in enumerate(grads):
+            assert not np.shares_memory(g, loss_buf)
+            assert not np.shares_memory(g, logits_buf)
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+
     def _training_step(self, model, out=None, clobber=False):
         """Logits and every parameter gradient of one seeded `cat` step.
 
@@ -658,6 +701,81 @@ class TestSmoothedCE:
         err = grad_check(lambda t: smoothed_ce_loss(t, targets, epsilon=eps),
                          [Tensor(x)])
         assert err < 1e-6
+
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("batch, n, budget", [
+        (5, 9, 9),          # one row per block
+        (12, 9, 27),        # three rows per block
+        (7, 9, 27),         # a last block of one row
+        (3, 40, 16),        # rows wider than the whole budget
+        (8, 14541, None),   # the module's budget: blocks of 6 and 2 rows
+    ])
+    def test_blocks_match_the_whole_array_passes(self, monkeypatch, eps,
+                                                 batch, n, budget):
+        if budget is not None:
+            monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(batch * n)
+        x = rng.normal(size=(batch, n)) * 30.0
+        targets = rng.integers(n, size=batch)
+        ref_loss, ref_grad = unblocked_smoothed_ce(x, targets, eps)
+        logits = Tensor(x.copy(), requires_grad=True)
+        with T.Tape() as tape:
+            loss = smoothed_ce_loss(logits, targets, eps,
+                                    out=np.full(x.shape, np.nan))
+        assert len(tape) == 1
+        tape.backward(loss)
+        assert loss.data == ref_loss
+        assert np.array_equal(logits.grad, ref_grad)
+
+    def test_upstream_gradient_scales_the_unit_gradient(self, monkeypatch):
+        monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", 18)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, 9)) * 3.0
+        targets = rng.integers(9, size=5)
+        grads = []
+        for weight in (None, 2.5):
+            logits = Tensor(x, requires_grad=True)
+            with T.Tape() as tape:
+                ce = smoothed_ce_loss(logits, targets, 0.1)
+                loss = ce if weight is None else weight * ce
+            tape.backward(loss)
+            grads.append(logits.grad)
+        unit, scaled = grads
+        assert_allclose(scaled, 2.5 * unit, rtol=1e-15, atol=0)
+        err = grad_check(lambda t: 2.5 * smoothed_ce_loss(t, targets, 0.1),
+                         [Tensor(x)])
+        assert err < 1e-6
+
+    def test_logits_without_gradient_give_the_value(self, monkeypatch):
+        monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", 18)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(7, 9)) * 3.0
+        targets = rng.integers(9, size=7)
+        ref_loss, _ = unblocked_smoothed_ce(x, targets, 0.1)
+        for out in (None, np.full(x.shape, np.nan)):
+            with T.Tape() as tape:
+                loss = smoothed_ce_loss(Tensor(x), targets, 0.1, out=out)
+            assert loss.data == ref_loss
+            assert not loss.requires_grad and len(tape) == 0
+
+    def test_allocates_less_than_a_block(self):
+        rng = np.random.default_rng(8)
+        logits = Tensor(rng.normal(size=(64, 20000)), requires_grad=True)
+        targets = rng.integers(20000, size=64)
+        buf = np.empty(logits.shape)
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                # Recorded as made on the tape, the logits are no leaf, so
+                # the backward copies their gradient nowhere.
+                T._record(logits, (), lambda g: ())
+                loss = smoothed_ce_loss(logits, targets, 0.1, out=buf)
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kg_mod.CE_BLOCK_ELEMENTS * 8 + 64 * 1024
 
 
 class TestRoutingEntropy:

@@ -207,6 +207,18 @@ class TestBackward:
         tape.backward(y)
         assert_allclose(x.grad, [7.0])
 
+    def test_leaf_gradients_never_alias(self):
+        # add hands one array to both of a and b, and c, used twice, gets
+        # the sum the tape allocated; no two leaves share memory.
+        a, b, c = (Tensor(np.ones(3), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            y = (a + b + c * 2.0 + c).sum()
+        tape.backward(y)
+        grads = (a.grad, b.grad, c.grad)
+        assert not any(np.shares_memory(g, h)
+                       for i, g in enumerate(grads) for h in grads[i + 1:])
+        assert_allclose(np.stack(grads), [[1.0] * 3, [1.0] * 3, [3.0] * 3])
+
     def test_tape_consumed(self):
         x = Tensor(np.ones(1), requires_grad=True)
         with Tape() as tape:

@@ -8,6 +8,7 @@ entropy). Loop-level tests run a real toy graph end to end.
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,31 @@ def record_out_buffers(monkeypatch):
 
     monkeypatch.setattr(KgModel, "score", spy)
     return seen
+
+
+def whole_array_update(p, g, m, v, step, lr, wd, b1, b2, eps):
+    """One AdamW update of a whole parameter, in place in p, m and v, as
+    AdamW.step ran it before it walked blocks."""
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    a, b = np.empty(p.shape), np.empty(p.shape)
+    if wd:
+        p *= 1.0 - lr * wd
+    m *= b1
+    v *= b2
+    if g is not None:
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += eps
+    np.divide(m, bc1, out=b)
+    b *= lr
+    b /= a
+    p -= b
 
 
 def small_cfg(**kw):
@@ -125,6 +151,67 @@ class TestAdamW:
                 assert np.array_equal(p.data, ref[k]), (step, k)
                 assert np.array_equal(opt._m[k], ref_m[k]), (step, k)
                 assert np.array_equal(opt._v[k], ref_v[k]), (step, k)
+
+    @pytest.mark.parametrize("wd", [0.0, 0.1])
+    def test_blocks_match_the_whole_array_update(self, wd):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(17)
+        shapes = {"table": (700, 64),   # two blocks of 512 and 188 rows
+                  "wide": (3, 40000),   # a row wider than a block
+                  "long": (70000,),     # three blocks of one axis
+                  "w": (4, 4), "idle": (5,), "s": ()}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamW(params, lr, wd, b1, b2, eps)
+        for step in range(1, 6):
+            for k, p in params.items():
+                p.grad = (None if k == "idle" or (k == "w" and step == 3)
+                          else rng.normal(size=shapes[k]))
+                whole_array_update(ref[k], p.grad, ref_m[k], ref_v[k], step,
+                                   lr, wd, b1, b2, eps)
+            opt.step()
+            for k, p in params.items():
+                assert np.array_equal(p.data, ref[k]), (step, k)
+                assert np.array_equal(opt._m[k], ref_m[k]), (step, k)
+                assert np.array_equal(opt._v[k], ref_v[k]), (step, k)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_parameter_is_updated_in_place(self, layout):
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(300, 130))
+        if layout == "fortran":
+            data = np.asfortranarray(start)
+        else:
+            data = np.zeros((300, 260))[:, ::2]
+            data[...] = start
+        odd = Tensor(data, requires_grad=True)
+        plain = Tensor(start.copy(), requires_grad=True)
+        opts = [AdamW({"p": t}, lr=0.1, weight_decay=0.1)
+                for t in (odd, plain)]
+        for _ in range(3):
+            g = rng.normal(size=start.shape)
+            odd.grad, plain.grad = np.asfortranarray(g), g
+            for opt in opts:
+                opt.step()
+        assert odd.data is data
+        assert not np.array_equal(data, start)
+        assert np.array_equal(data, plain.data)
+
+    def test_step_allocates_under_a_quarter_of_the_parameter(self):
+        rng = np.random.default_rng(5)
+        p = Tensor(rng.normal(size=(14541, 64)), requires_grad=True)
+        p.grad = rng.normal(size=p.shape)
+        opt = AdamW({"entity_emb": p}, lr=1e-3, weight_decay=0.01)
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes / 4
 
     def test_quadratic_bowl_converges(self):
         x = Tensor(np.array([8.0]), requires_grad=True)
