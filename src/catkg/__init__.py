@@ -21,7 +21,7 @@ from .kg import (KgModel, Metrics, TripleStore, compose, evaluate,
 from .manifolds import (exp0, log0, mobius_add, mobius_scalar_mul,
                         poincare_distance, project_ball, sphere_exp_mu,
                         sphere_log_mu, sphere_project)
-from .tensor import (Tape, Tensor, backward, grad_check, load_checkpoint,
+from .tensor import (Tape, Tensor, grad_check, load_checkpoint,
                      save_checkpoint, xavier_uniform)
 from .trainer import (AdamW, PlateauScheduler, TrainResult, anneal_lambda,
                       export_routing, load_model, save_model, train)
@@ -32,8 +32,8 @@ __all__ = [
     "AdamW", "CatBlock", "CatkgError", "EuclideanBranch", "HyperbolicBranch",
     "KgModel", "Metrics", "PlateauScheduler", "Router", "SingleGeometryBlock",
     "SphericalBranch", "Tape", "Tensor", "TrainConfig", "TrainResult",
-    "TripleStore", "anneal_lambda", "backward", "build_block", "compose",
-    "evaluate", "exp0", "export_routing", "filtered_rank", "grad_check",
+    "TripleStore", "anneal_lambda", "build_block", "compose", "evaluate",
+    "exp0", "export_routing", "filtered_rank", "grad_check",
     "load_checkpoint", "load_config", "load_model", "load_triples", "log0",
     "mobius_add", "mobius_scalar_mul", "parameter_count", "parse_config",
     "poincare_distance", "project_ball", "routing_entropy", "save_checkpoint",

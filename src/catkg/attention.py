@@ -49,7 +49,27 @@ from .tensor import Tensor
 VARIANTS = ("cat", "euclidean", "hyperbolic", "spherical")
 
 
-class Linear:
+class Module:
+    """A layer whose parameters are its attributes.
+
+    :meth:`parameters` walks the instance attributes in assignment order:
+    a :class:`Tensor` is a parameter named by its attribute, and a
+    ``Module`` adds its own parameters under ``<attr>.``. Anything else
+    (activation functions, numbers, names, containers) is skipped.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        params: dict[str, Tensor] = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params[attr] = value
+            elif isinstance(value, Module):
+                for name, p in value.parameters().items():
+                    params[f"{attr}.{name}"] = p
+        return params
+
+
+class Linear(Module):
     """Affine map over the last axis: y = x W + b."""
 
     def __init__(self, d_in: int, d_out: int, seed: int):
@@ -60,11 +80,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.weight, self.bias)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
@@ -72,11 +89,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
 
-
-class FeedForward:
+class FeedForward(Module):
     """Two affine maps around one smooth nonlinearity."""
 
     def __init__(self, d_in: int, d_hidden: int, d_out: int,
@@ -89,19 +103,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(self.act(self.lin1(x)))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"lin1": self.lin1, "lin2": self.lin2})
 
-
-def _prefixed(children: dict) -> dict[str, Tensor]:
-    out: dict[str, Tensor] = {}
-    for name, child in children.items():
-        for key, value in child.parameters().items():
-            out[f"{name}.{key}"] = value
-    return out
-
-
-class EuclideanBranch:
+class EuclideanBranch(Module):
     """Multi-head dot-product attention layer with post-norm residuals."""
 
     def __init__(self, d: int, heads: int, ff_multiplier: int,
@@ -145,13 +148,8 @@ class EuclideanBranch:
         h = self.ln1(x + attended)
         return self.ln2(h + self.ff(h))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"wq": self.wq, "wk": self.wk, "wv": self.wv,
-                          "wo": self.wo, "ln1": self.ln1, "ln2": self.ln2,
-                          "ff": self.ff})
 
-
-class HyperbolicBranch:
+class HyperbolicBranch(Module):
     """Attention by geodesic proximity on a Poincaré ball.
 
     Distances are taken between the mapped queries only (there is no
@@ -191,11 +189,8 @@ class HyperbolicBranch:
         mixed = M.project_ball(scaled.sum(axis=2), self.c)
         return self.ff(M.log0(mixed, self.c))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"wq": self.wq, "wv": self.wv, "ff": self.ff})
 
-
-class SphericalBranch:
+class SphericalBranch(Module):
     """Attention by cosine similarity between sphere-lifted tokens."""
 
     def __init__(self, d: int, ff_multiplier: int, activation: str,
@@ -226,24 +221,15 @@ class SphericalBranch:
         # outside the log map's chart; retract it back in first.
         return self.ff(M.sphere_log_mu(M.sphere_chart_clamp(pooled)))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"ff": self.ff})
 
-
-class Router:
-    """Two-layer MLP + softmax producing per-token branch weights."""
+class Router(FeedForward):
+    """Feed-forward to three logits + softmax: per-token branch weights."""
 
     def __init__(self, d: int, d_hidden: int, activation: str, seed: int):
-        s1, s2 = T.derive_seeds(seed, 2)
-        self.lin1 = Linear(d, d_hidden, s1)
-        self.lin2 = Linear(d_hidden, 3, s2)
-        self.act = T.activation(activation)
+        super().__init__(d, d_hidden, 3, activation, seed)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.softmax(self.lin2(self.act(self.lin1(x))), axis=-1)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"lin1": self.lin1, "lin2": self.lin2})
+        return T.softmax(super().__call__(x), axis=-1)
 
     def force_one_hot(self, branch: int) -> None:
         """Pin the routing distribution to a single branch.
@@ -257,7 +243,7 @@ class Router:
         self.lin2.bias.data[branch] = 0.0
 
 
-class CatBlock:
+class CatBlock(Module):
     """The routed mixture of the three geometry branches."""
 
     branch_names = ("euclidean", "hyperbolic", "spherical")
@@ -281,14 +267,8 @@ class CatBlock:
             mixed = term if mixed is None else mixed + term
         return mixed, alpha
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({"euclidean": self.euclidean,
-                          "hyperbolic": self.hyperbolic,
-                          "spherical": self.spherical,
-                          "router": self.router})
 
-
-class SingleGeometryBlock:
+class SingleGeometryBlock(Module):
     """Adapter giving one branch the same interface as :class:`CatBlock`.
 
     ``forward`` returns ``None`` in place of routing weights: fixed
@@ -303,7 +283,9 @@ class SingleGeometryBlock:
         return self.branch(x), None
 
     def parameters(self) -> dict[str, Tensor]:
-        return _prefixed({self.name: self.branch})
+        # Named by the variant, not by the ``branch`` attribute.
+        return {f"{self.name}.{key}": p
+                for key, p in self.branch.parameters().items()}
 
 
 def build_block(variant: str, d: int, *, heads: int, ff_multiplier: int,

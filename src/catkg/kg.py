@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import build_block, parameter_count
+from .attention import Module, build_block, parameter_count
 from .config import TrainConfig
 from .errors import (ConfigError, IncompatibilityError, IndexLookupError,
                      NumericsError, ParseError, PathError, ShapeError)
@@ -250,7 +250,7 @@ def compose(h_vec: Tensor, r_vec: Tensor, p: float, training: bool,
     return T.dropout(h_vec + r_vec, p, training=training, rng=rng)
 
 
-class KgModel:
+class KgModel(Module):
     """Embeddings + one attention block + dot-product scoring head."""
 
     def __init__(self, n_entities: int, n_relations: int, cfg: TrainConfig):
@@ -269,13 +269,6 @@ class KgModel:
         self.variant = cfg.variant
         self.dropout_p = cfg.dropout
         self.dropout_sites = cfg.sites()
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"entity_emb": self.entity_emb,
-                  "relation_emb": self.relation_emb}
-        for name, p in self.block.parameters().items():
-            params[f"block.{name}"] = p
-        return params
 
     def parameter_count(self) -> int:
         return parameter_count(self)
@@ -438,6 +431,12 @@ class Metrics:
     mrr: float
     hits_at_10: float
     n_evaluated: int
+    # Per-geometry routing average over the evaluated tokens; None for
+    # fixed-geometry variants, which do not route. Summed batch by batch,
+    # so its last bits depend on the batch size: == compares the ranking
+    # metrics only.
+    mean_alpha: tuple[float, float, float] | None = field(default=None,
+                                                          compare=False)
 
     def lines(self, split: str, seed: int) -> list[str]:
         """Key-value text form, one metric per line."""
@@ -471,12 +470,10 @@ def filtered_rank(scores: np.ndarray, t: int, known_tails) -> int:
 
 
 def evaluate(store: TripleStore, model: KgModel, split: str,
-             batch_size: int = 1024, collect_alpha: bool = False):
-    """Filtered MRR / Hits@10 over a split, in eval mode.
+             batch_size: int = 1024) -> Metrics:
+    """Filtered MRR / Hits@10 and mean routing weights over a split.
 
-    With ``collect_alpha`` the return value is ``(metrics, mean_alpha)``
-    where mean_alpha is the per-geometry routing average over all
-    evaluated tokens (None for fixed-geometry variants).
+    Runs in eval mode, ``batch_size`` queries per forward.
     """
     triples = store.split(split)
     if triples.shape[0] == 0:
@@ -493,7 +490,7 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
         logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
                                     out=buf[:batch.shape[0]])
         scores = logits.data
-        if collect_alpha and alpha is not None:
+        if alpha is not None:
             alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)
             alpha_seen = True
         for row, (h, r, t), first, end in zip(scores, batch.tolist(),
@@ -506,7 +503,7 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
             recip_sum += 1.0 / rank
             hits += rank <= 10
     n = int(triples.shape[0])
-    metrics = Metrics(mrr=recip_sum / n, hits_at_10=hits / n, n_evaluated=n)
-    if collect_alpha:
-        return metrics, (alpha_sum / n if alpha_seen else None)
-    return metrics
+    mean_alpha = (tuple(float(a) for a in alpha_sum / n) if alpha_seen
+                  else None)
+    return Metrics(mrr=recip_sum / n, hits_at_10=hits / n, n_evaluated=n,
+                   mean_alpha=mean_alpha)

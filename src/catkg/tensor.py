@@ -221,11 +221,6 @@ class Tape:
         self._consumed = True
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Run reverse-mode accumulation of ``loss`` over ``tape``."""
-    tape.backward(loss)
-
-
 def _record(output: Tensor, inputs: tuple[Tensor, ...],
             backward_fn: Callable) -> None:
     tape = _active_tape()

@@ -114,7 +114,9 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     total_sq = 0.0
     for p in params.values():
         if p.grad is not None:
-            total_sq += float((p.grad * p.grad).sum())
+            # einsum's own loop: no squared temporary, no BLAS threads.
+            g = p.grad.ravel(order="K")
+            total_sq += float(np.einsum("i,i->", g, g))
     total = math.sqrt(total_sq)
     if total > max_norm > 0:
         scale = max_norm / total
@@ -256,8 +258,7 @@ def train(store: TripleStore, cfg: TrainConfig,
 
         lr_used = opt.lr
         try:
-            valid_metrics, mean_alpha = evaluate(store, model, "valid",
-                                                 collect_alpha=True)
+            valid_metrics = evaluate(store, model, "valid")
         except NumericsError as exc:
             raise NumericsError(
                 f"{exc} at epoch {epoch} (validation)") from exc
@@ -268,8 +269,7 @@ def train(store: TripleStore, cfg: TrainConfig,
             valid_hits10=valid_metrics.hits_at_10,
             lr=lr_used,
             lambda_ent=lam,
-            mean_alpha=None if mean_alpha is None
-            else tuple(float(a) for a in mean_alpha),
+            mean_alpha=valid_metrics.mean_alpha,
         )
         records.append(record)
         if log_stream is not None:

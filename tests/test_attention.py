@@ -14,9 +14,10 @@ from numpy.testing import assert_allclose
 from catkg import attention as A
 from catkg import manifolds as M
 from catkg import tensor as T
-from catkg.attention import (CatBlock, EuclideanBranch, HyperbolicBranch,
-                             Linear, Router, SingleGeometryBlock,
-                             SphericalBranch, build_block, parameter_count)
+from catkg.attention import (CatBlock, EuclideanBranch, FeedForward,
+                             HyperbolicBranch, Linear, Module, Router,
+                             SingleGeometryBlock, SphericalBranch, build_block,
+                             parameter_count)
 from catkg.errors import ConfigError
 from catkg.tensor import Tape, Tensor
 
@@ -58,6 +59,43 @@ class TestLinearAndCounts:
         names = set(branch.parameters())
         assert {"wq.weight", "wq.bias", "ln1.gamma", "ff.lin1.weight",
                 "ff.lin2.bias"} <= names
+
+
+class TestModule:
+    def test_parameters_follow_assignment_order(self):
+        class Leaf(Module):
+            def __init__(self):
+                self.scale = 2.0
+                self.b = Tensor(np.zeros(2))
+                self.act = T.activation("gelu")
+                self.a = Tensor(np.zeros(3))
+                self.shape = (2, 3)
+
+        class Outer(Module):
+            def __init__(self):
+                self.name = "outer"
+                self.z = Tensor(np.zeros(1))
+                self.inner = Leaf()
+                # Containers are not walked, whatever they hold.
+                self.table = {"w": Tensor(np.zeros(1))}
+                self.layers = [Linear(2, 2, seed=0)]
+                self.y = Tensor(np.zeros(4))
+
+        outer = Outer()
+        params = outer.parameters()
+        assert list(params) == ["z", "inner.b", "inner.a", "y"]
+        assert params["inner.a"] is outer.inner.a
+        assert params["y"] is outer.y
+
+    def test_router_is_a_feed_forward_to_three_logits(self):
+        router = Router(8, 6, "gelu", seed=16)
+        ff = FeedForward(8, 6, 3, "gelu", seed=16)
+        assert list(router.parameters()) == list(ff.parameters())
+        for name, p in router.parameters().items():
+            assert np.array_equal(p.data, ff.parameters()[name].data)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 8)))
+        assert np.array_equal(router(x).data,
+                              T.softmax(ff(x), axis=-1).data)
 
 
 class TestEuclideanBranch:

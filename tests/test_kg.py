@@ -554,6 +554,54 @@ class TestModelScoring:
                                            + block_count(model.block))
 
 
+def _affine(name, d_in, d_out):
+    return [(f"{name}.weight", (d_in, d_out)), (f"{name}.bias", (d_out,))]
+
+
+# Every tensor of each branch at d=64 (4 heads, feed-forward width 128),
+# in the order checkpoints store them.
+_BRANCHES = {
+    "euclidean": (_affine("wq", 64, 64) + _affine("wk", 64, 64)
+                  + _affine("wv", 64, 64) + _affine("wo", 64, 64)
+                  + [("ln1.gamma", (64,)), ("ln1.beta", (64,)),
+                     ("ln2.gamma", (64,)), ("ln2.beta", (64,))]
+                  + _affine("ff.lin1", 64, 128) + _affine("ff.lin2", 128, 64)),
+    "hyperbolic": (_affine("wq", 64, 64) + _affine("wv", 64, 64)
+                   + _affine("ff.lin1", 64, 128)
+                   + _affine("ff.lin2", 128, 64)),
+    "spherical": _affine("ff.lin1", 65, 128) + _affine("ff.lin2", 128, 64),
+    "router": _affine("lin1", 64, 64) + _affine("lin2", 64, 3),
+}
+
+
+class TestParameterInventory:
+    """Names, order and shapes of every variant at the FB15k-237 size.
+
+    They are the optimizer's state keys and the checkpoint's tensor
+    names: a renamed attribute or a stray tensor attribute fails here.
+    """
+
+    @pytest.mark.parametrize("variant,parts,n_tensors,n_values", [
+        ("cat", ("euclidean", "hyperbolic", "spherical", "router"),
+         34, 1_025_219),
+        ("euclidean", ("euclidean",), 18, 979_264),
+        ("hyperbolic", ("hyperbolic",), 10, 970_688),
+        ("spherical", ("spherical",), 6, 962_496),
+    ])
+    def test_ordered_names_and_shapes(self, variant, parts, n_tensors,
+                                      n_values):
+        model = KgModel(14541, 237, TrainConfig(d=64, variant=variant))
+        expected = [("entity_emb", (14541, 64)), ("relation_emb", (237, 64))]
+        for part in parts:
+            expected += [(f"block.{part}.{name}", shape)
+                         for name, shape in _BRANCHES[part]]
+        params = model.parameters()
+        assert [(k, p.shape) for k, p in params.items()] == expected
+        assert len(params) == n_tensors
+        assert model.parameter_count() == n_values
+        assert all(p.requires_grad for p in params.values())
+
+
 class TestSmoothedCE:
     def test_uniform_logits_cost_ln_n_at_any_smoothing(self):
         # The target row always sums to 1, so constant log-probs of -ln n
@@ -945,20 +993,18 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(toy_store, None, "dev")
 
-    def test_collect_alpha_for_mixture(self, toy_store):
+    def test_mean_alpha_for_mixture(self, toy_store):
         cfg = TrainConfig(d=8, heads=2, seed=1)
         model = KgModel(toy_store.n_entities, toy_store.n_relations, cfg)
-        metrics, mean_alpha = evaluate(toy_store, model, "test",
-                                       collect_alpha=True)
-        assert mean_alpha.shape == (3,)
-        assert_allclose(mean_alpha.sum(), 1.0, rtol=0, atol=1e-12)
-        assert (mean_alpha >= 0).all()
+        mean_alpha = evaluate(toy_store, model, "test").mean_alpha
+        assert len(mean_alpha) == 3
+        assert all(type(a) is float and a >= 0 for a in mean_alpha)
+        assert_allclose(sum(mean_alpha), 1.0, rtol=0, atol=1e-12)
 
-    def test_collect_alpha_none_for_fixed_variant(self, toy_store):
+    def test_mean_alpha_none_for_fixed_variant(self, toy_store):
         cfg = TrainConfig(d=8, heads=2, seed=1, variant="spherical")
         model = KgModel(toy_store.n_entities, toy_store.n_relations, cfg)
-        _, mean_alpha = evaluate(toy_store, model, "test", collect_alpha=True)
-        assert mean_alpha is None
+        assert evaluate(toy_store, model, "test").mean_alpha is None
 
     def test_evaluation_is_deterministic(self, toy_store):
         cfg = TrainConfig(d=8, heads=2, seed=2)

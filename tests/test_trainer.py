@@ -255,6 +255,25 @@ class TestClipGradients:
         a = Tensor(np.zeros(2), requires_grad=True)
         assert clip_gradients({"a": a}, max_norm=1.0) == 0.0
 
+    def test_allocates_nothing_parameter_sized(self):
+        rng = np.random.default_rng(6)
+        table = Tensor(np.zeros((14541, 64)), requires_grad=True)
+        table.grad = rng.normal(size=table.shape)
+        fortran = Tensor(np.zeros((300, 200)), requires_grad=True)
+        fortran.grad = np.asfortranarray(rng.normal(size=fortran.shape))
+        params = {"entity_emb": table, "fortran": fortran}
+        expected = math.sqrt(float((table.grad ** 2).sum()
+                                   + (fortran.grad ** 2).sum()))
+        tracemalloc.start()
+        try:
+            norm = clip_gradients(params, max_norm=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert_allclose(norm, expected, rtol=1e-12)
+        assert fortran.grad.flags.f_contiguous
+
 
 class TestPlateauScheduler:
     def test_flat_metric_reduces_on_schedule(self):
