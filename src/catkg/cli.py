@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer that is ``low`` or more."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", required=True, help="dotted-key config file")
     p.add_argument("--seed", type=int, default=None,
@@ -76,9 +87,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="measure forward latency per variant")
     _add_common(p)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--warmup", type=int, default=50)
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--batch-size", type=_at_least(1), default=512)
+    p.add_argument("--warmup", type=_at_least(0), default=50)
+    p.add_argument("--iters", type=_at_least(1), default=100)
 
     p = sub.add_parser("route-export", help="dump routing weights")
     _add_common(p)

@@ -7,9 +7,11 @@ A config file is plain text, one ``section.key = value`` per line, with
     train.lr = 0.001
     data.train_path = data/fb15k-237/train.txt
 
-Unknown or duplicate keys are hard errors, as are out-of-range values;
-there are no silently applied defaults for misspelled keys. The format
-round-trips: ``parse(serialize(cfg))`` reproduces ``cfg`` exactly.
+Each key's section is declared with its :class:`TrainConfig` field.
+Unknown or duplicate keys are hard errors, as are out-of-range and
+non-finite values; there are no silently applied defaults for
+misspelled keys. The format round-trips: ``parse(serialize(cfg))``
+reproduces ``cfg`` exactly.
 """
 
 from __future__ import annotations
@@ -26,38 +28,40 @@ DROPOUT_SITES = ("entity", "relation", "composite")
 ENTROPY_SIGNS = ("subtract", "add")
 
 
+def _in(section: str, default):
+    """A field whose file key is ``<section>.<field name>``."""
+    return dataclasses.field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    # model
-    d: int = 64
-    heads: int = 4
-    ff_multiplier: int = 2
-    variant: str = "cat"
-    curvature: float = 1.0
-    activation: str = "gelu"
-    # optimization
-    batch_size: int = 512
-    epochs: int = 200
-    lr: float = 0.001
-    weight_decay: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 0.0  # 0 disables the global-norm guard
-    dropout: float = 0.2
-    dropout_sites: str = "entity,relation,composite"
-    label_smoothing: float = 0.1
-    lambda_ent_init: float = 0.01
-    lambda_ent_decay: float = 0.95
-    lambda_ent_min: float = 0.001
-    entropy_sign: str = "subtract"
-    plateau_factor: float = 0.5
-    plateau_patience: int = 10
-    seed: int = 0
-    # data
-    train_path: str = ""
-    valid_path: str = ""
-    test_path: str = ""
+    d: int = _in("model", 64)
+    heads: int = _in("model", 4)
+    ff_multiplier: int = _in("model", 2)
+    variant: str = _in("model", "cat")
+    curvature: float = _in("model", 1.0)
+    activation: str = _in("model", "gelu")
+    batch_size: int = _in("train", 512)
+    epochs: int = _in("train", 200)
+    lr: float = _in("train", 0.001)
+    weight_decay: float = _in("train", 0.001)
+    beta1: float = _in("train", 0.9)
+    beta2: float = _in("train", 0.999)
+    adam_eps: float = _in("train", 1e-8)
+    grad_clip: float = _in("train", 0.0)  # 0 disables the global-norm guard
+    dropout: float = _in("train", 0.2)
+    dropout_sites: str = _in("train", "entity,relation,composite")
+    label_smoothing: float = _in("train", 0.1)
+    lambda_ent_init: float = _in("train", 0.01)
+    lambda_ent_decay: float = _in("train", 0.95)
+    lambda_ent_min: float = _in("train", 0.001)
+    entropy_sign: str = _in("train", "subtract")
+    plateau_factor: float = _in("train", 0.5)
+    plateau_patience: int = _in("train", 10)
+    seed: int = _in("train", 0)
+    train_path: str = _in("data", "")
+    valid_path: str = _in("data", "")
+    test_path: str = _in("data", "")
 
     def sites(self) -> tuple[str, ...]:
         """The dropout sites as a tuple (empty string means none)."""
@@ -66,36 +70,9 @@ class TrainConfig:
         return tuple(s.strip() for s in self.dropout_sites.split(","))
 
 
-# Dotted file key -> dataclass field, in serialization order.
-KEY_MAP: dict[str, str] = {
-    "model.d": "d",
-    "model.heads": "heads",
-    "model.ff_multiplier": "ff_multiplier",
-    "model.variant": "variant",
-    "model.curvature": "curvature",
-    "model.activation": "activation",
-    "train.batch_size": "batch_size",
-    "train.epochs": "epochs",
-    "train.lr": "lr",
-    "train.weight_decay": "weight_decay",
-    "train.beta1": "beta1",
-    "train.beta2": "beta2",
-    "train.adam_eps": "adam_eps",
-    "train.grad_clip": "grad_clip",
-    "train.dropout": "dropout",
-    "train.dropout_sites": "dropout_sites",
-    "train.label_smoothing": "label_smoothing",
-    "train.lambda_ent_init": "lambda_ent_init",
-    "train.lambda_ent_decay": "lambda_ent_decay",
-    "train.lambda_ent_min": "lambda_ent_min",
-    "train.entropy_sign": "entropy_sign",
-    "train.plateau_factor": "plateau_factor",
-    "train.plateau_patience": "plateau_patience",
-    "train.seed": "seed",
-    "data.train_path": "train_path",
-    "data.valid_path": "valid_path",
-    "data.test_path": "test_path",
-}
+# Dotted file key -> dataclass field, in serialization (declaration) order.
+KEY_MAP: dict[str, str] = {f"{f.metadata['section']}.{f.name}": f.name
+                           for f in dataclasses.fields(TrainConfig)}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
@@ -175,6 +152,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate(cfg: TrainConfig) -> TrainConfig:
+    for key, name in KEY_MAP.items():
+        if _FIELD_TYPES[name] == "float":
+            value = getattr(cfg, name)
+            _require(math.isfinite(value), f"{key} must be finite, got {value}")
     _require(cfg.d >= 1, f"model.d must be >= 1, got {cfg.d}")
     _require(cfg.heads >= 1, f"model.heads must be >= 1, got {cfg.heads}")
     _require(cfg.d % cfg.heads == 0,
@@ -183,7 +164,7 @@ def validate(cfg: TrainConfig) -> TrainConfig:
              f"model.ff_multiplier must be >= 1, got {cfg.ff_multiplier}")
     _require(cfg.variant in VARIANTS,
              f"model.variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    _require(math.isfinite(cfg.curvature) and cfg.curvature > 0,
+    _require(cfg.curvature > 0,
              f"model.curvature must be positive, got {cfg.curvature}")
     T.activation(cfg.activation)  # raises on unknown names
     _require(cfg.batch_size >= 1,

@@ -179,44 +179,35 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(
                 f"backward needs a scalar loss, got shape {loss.shape}")
-        if self._nodes and not any(out is loss for out, _, _ in self._nodes):
+        # id -> (tensor, gradient, whether this tape allocated the gradient).
+        # Any other gradient came from a backward_fn and may alias a
+        # caller's buffer or another input's gradient, so a leaf gets a
+        # copy of it.
+        pending: dict[int, tuple[Tensor, Array, bool]] = {
+            id(loss): (loss, np.ones_like(loss.data), True)}
+        for out, inputs, backward_fn in reversed(self._nodes):
+            entry = pending.pop(id(out), None)
+            if entry is None:
+                continue  # not on any path to the loss
+            for t, ig in zip(inputs, backward_fn(entry[1])):
+                if ig is None or not t.requires_grad:
+                    continue
+                acc = pending.get(id(t))
+                pending[id(t)] = ((t, ig, False) if acc is None
+                                  else (t, acc[1] + ig, True))
+
+        # Every recorded output was popped when its node ran, so what is
+        # left is a leaf; an unpopped loss was not produced on this tape.
+        if self._nodes and id(loss) in pending:
             raise RuntimeError(
                 "loss was not produced on this tape; build it (including the"
                 " final reduction) inside the tape context")
-        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
-        produced = set()
-        for out, inputs, _ in self._nodes:
-            produced.add(id(out))
-            tensors[id(out)] = out
-            for t in inputs:
-                tensors[id(t)] = t
-
-        # Ids whose gradient is a sum this tape allocated. Any other
-        # gradient came from a backward_fn and may alias a caller's buffer
-        # or another input's gradient, so a leaf gets a copy of it.
-        summed = set()
-        for out, inputs, backward_fn in reversed(self._nodes):
-            g = grads.pop(id(out), None)
-            if g is None:
-                continue  # not on any path to the loss
-            for t, ig in zip(inputs, backward_fn(g)):
-                if ig is None or not t.requires_grad:
-                    continue
-                acc = grads.get(id(t))
-                if acc is None:
-                    grads[id(t)] = ig
-                else:
-                    grads[id(t)] = acc + ig
-                    summed.add(id(t))
-
-        for tid, g in grads.items():
-            t = tensors[tid]
-            if t.requires_grad and tid not in produced:
+        for t, g, owned in pending.values():
+            if t.requires_grad:
                 if t.grad is not None:
                     t.grad = t.grad + g
                 else:
-                    t.grad = g if tid in summed else g.copy()
+                    t.grad = g if owned else g.copy()
         self._nodes.clear()
         self._consumed = True
 

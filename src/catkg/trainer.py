@@ -16,7 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .errors import IncompatibilityError, NumericsError, UnsupportedVariantError
+from .errors import (ConfigError, IncompatibilityError, NumericsError,
+                     UnsupportedVariantError)
 from .kg import (KgModel, TripleStore, evaluate, routing_entropy,
                  smoothed_ce_loss, total_loss)
 from .tensor import Tensor
@@ -333,6 +334,8 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
         raise UnsupportedVariantError(
             f"routing export needs the 'cat' variant, got {model.variant!r}")
     triples = store.split(split)
+    if triples.shape[0] == 0:
+        raise ConfigError(f"cannot export routing of an empty {split!r} split")
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)

@@ -7,6 +7,7 @@ bytes.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from catkg.cli import _write_manifest, main
-from catkg.config import (TrainConfig, apply_overrides, load_config,
+from catkg.config import (KEY_MAP, TrainConfig, apply_overrides, load_config,
                           parse_config, serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
 from catkg.tensor import load_checkpoint, save_checkpoint
@@ -77,13 +78,83 @@ def trained(tmp_path_factory):
             "stdout": stdout}
 
 
+# Every config key in file order: a field the file format does not name
+# cannot be set, serialized or recorded in a manifest.
+ALL_KEYS = [
+    ("model.d", "d"), ("model.heads", "heads"),
+    ("model.ff_multiplier", "ff_multiplier"), ("model.variant", "variant"),
+    ("model.curvature", "curvature"), ("model.activation", "activation"),
+    ("train.batch_size", "batch_size"), ("train.epochs", "epochs"),
+    ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
+    ("train.beta1", "beta1"), ("train.beta2", "beta2"),
+    ("train.adam_eps", "adam_eps"), ("train.grad_clip", "grad_clip"),
+    ("train.dropout", "dropout"), ("train.dropout_sites", "dropout_sites"),
+    ("train.label_smoothing", "label_smoothing"),
+    ("train.lambda_ent_init", "lambda_ent_init"),
+    ("train.lambda_ent_decay", "lambda_ent_decay"),
+    ("train.lambda_ent_min", "lambda_ent_min"),
+    ("train.entropy_sign", "entropy_sign"),
+    ("train.plateau_factor", "plateau_factor"),
+    ("train.plateau_patience", "plateau_patience"), ("train.seed", "seed"),
+    ("data.train_path", "train_path"), ("data.valid_path", "valid_path"),
+    ("data.test_path", "test_path"),
+]
+
+FLOAT_KEYS = [
+    "model.curvature", "train.lr", "train.weight_decay", "train.beta1",
+    "train.beta2", "train.adam_eps", "train.grad_clip", "train.dropout",
+    "train.label_smoothing", "train.lambda_ent_init",
+    "train.lambda_ent_decay", "train.lambda_ent_min", "train.plateau_factor",
+]
+
+
 class TestConfigFormat:
+    def test_key_map_names_every_field_in_file_order(self):
+        assert list(KEY_MAP.items()) == ALL_KEYS
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == \
+            [name for _, name in ALL_KEYS]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = {value}\n")
+        assert str(info.value) == f"{key} must be finite, got {float(value)}"
+
+    def test_float_keys_are_the_float_fields(self):
+        fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+        assert FLOAT_KEYS == [key for key, name in ALL_KEYS
+                              if fields[name] == "float"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("model.curvature = 0", "model.curvature must be positive, got 0.0"),
+        ("train.adam_eps = 0", "train.adam_eps must be positive, got 0.0"),
+        ("train.beta1 = 1", "train.beta1 must be in [0, 1), got 1.0"),
+        ("train.lambda_ent_min = -1",
+         "train.lambda_ent_min must be >= 0, got -1.0"),
+    ])
+    def test_finite_range_messages(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(line + "\n")
+        assert str(info.value) == message
+
     def test_round_trip_is_exact(self):
-        cfg = validate(TrainConfig(d=32, heads=4, lr=0.0007, dropout=0.15,
-                                   variant="hyperbolic", seed=11,
-                                   train_path="a", valid_path="b",
-                                   test_path="c"))
-        assert parse_config(serialize_config(cfg)) == cfg
+        cfg = validate(TrainConfig(
+            d=32, heads=8, ff_multiplier=3, variant="hyperbolic",
+            curvature=0.5, activation="tanh", batch_size=128, epochs=7,
+            lr=0.003, weight_decay=0.0, beta1=0.8, beta2=0.99, adam_eps=1e-6,
+            grad_clip=1.5, dropout=0.1, dropout_sites="entity",
+            label_smoothing=0.0, lambda_ent_init=0.02, lambda_ent_decay=0.9,
+            lambda_ent_min=0.0, entropy_sign="add", plateau_factor=0.3,
+            plateau_patience=4, seed=9, train_path="a", valid_path="b",
+            test_path="c"))
+        default = TrainConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(TrainConfig))
+        text = serialize_config(cfg)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == \
+            list(KEY_MAP)
+        assert parse_config(text) == cfg
 
     def test_comments_blanks_and_spacing_ignored(self):
         cfg = parse_config("# header\n\n  model.d   =  8\nmodel.heads=1\n")
@@ -348,6 +419,21 @@ class TestRouteExportCommand:
         assert target.exists()
         assert f"routing_table={target}" in stdout
 
+    def test_empty_split_is_invalid_config(self, trained, tmp_path):
+        paths = write_dataset(tmp_path)
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        cfg_path = write_config(
+            tmp_path, dict(paths, test=str(tmp_path / "empty.txt")))
+        out = tmp_path / "routes"
+        code, stdout, stderr = run_cli([
+            "route-export", "--config", str(cfg_path),
+            "--checkpoint", str(trained["checkpoint"]),
+            "--split", "test", "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: invalid-config: cannot export routing of "
+                          "an empty 'test' split\n")
+        assert not (out / "routing.tsv").exists()
+
     def test_fixed_variant_checkpoint_is_unsupported(self, trained, tmp_path):
         out = tmp_path / "fixed"
         code, _, err = run_cli(["train", "--config", str(trained["config"]),
@@ -394,6 +480,24 @@ class TestBenchCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["n_entities"] == 14541
         assert manifest["metrics"]["n_relations"] == 237
+
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iters", "0"), ("--iters", "-3"), ("--batch-size", "0"),
+        ("--warmup", "-1"), ("--iters", "many"),
+    ])
+    def test_bad_counts_exit_two(self, tmp_path, flag, value):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text("model.d = 16\nmodel.heads = 2\n",
+                            encoding="utf-8")
+        out = tmp_path / "bench"
+        code, stdout, stderr = run_cli([
+            "bench", "--config", str(cfg_path), "--batch-size", "4",
+            "--warmup", "0", "--iters", "1", flag, value,
+            "--out-dir", str(out)])
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: invalid-args: argument {flag}: ")
+        assert not out.exists()
 
 
 class TestErrorSurface:

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 from catkg import tensor as T
 from catkg import trainer as trainer_mod
 from catkg.config import TrainConfig
-from catkg.errors import (IncompatibilityError, NumericsError,
+from catkg.errors import (ConfigError, IncompatibilityError, NumericsError,
                           UnsupportedVariantError)
 from catkg.kg import KgModel, evaluate, routing_entropy, total_loss
 from catkg.tensor import Tape, Tensor
@@ -510,6 +510,14 @@ class TestExportRouting:
                         small_cfg(variant="hyperbolic"))
         with pytest.raises(UnsupportedVariantError):
             export_routing(model, store, "test", tmp_path / "r.tsv")
+
+    def test_empty_split_rejected_before_writing(self, store, tmp_path):
+        store.test = np.zeros((0, 3), dtype=np.int64)
+        model = KgModel(store.n_entities, store.n_relations, small_cfg())
+        out = tmp_path / "r.tsv"
+        with pytest.raises(ConfigError):
+            export_routing(model, store, "test", out)
+        assert not out.exists()
 
     def test_table_layout_and_row_simplex(self, store, tmp_path):
         model = KgModel(store.n_entities, store.n_relations, small_cfg())
