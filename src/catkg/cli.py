@@ -22,7 +22,6 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,9 +30,9 @@ from . import kg as kg_mod
 from . import trainer as trainer_mod
 from .attention import VARIANTS
 from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
-                     serialize_config, validate)
+                     serialize_config)
 from .errors import CatkgError, PathError
-from .kg import KgModel, evaluate, load_triples
+from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
 from .tensor import atomic_write
 from .trainer import export_routing, load_model, save_model, train
 
@@ -282,7 +281,7 @@ def _cmd_bench(args) -> None:
     stats: dict[str, dict] = {}
     for variant in VARIANTS:
         model = KgModel(n_entities, n_relations,
-                        validate(replace(cfg, variant=variant)))
+                        apply_overrides(cfg, variant=variant))
         for _ in range(args.warmup):
             model.score(heads, rels, training=False)
         samples = np.empty(args.iters)
@@ -325,16 +324,15 @@ def _cmd_route_export(args) -> None:
     means = export_routing(model, store, args.split, out_path)
     t_export = time.perf_counter() - t0
 
-    for key, value in zip(("alpha_e", "alpha_h", "alpha_s"), means):
+    for key, value in zip(ROUTING_COLUMNS, means):
         print(f"split={args.split} mean_{key}={float(value)!r}")
     print(f"routing_table={out_path}")
 
     _write_manifest(
         out_dir, "route-export", cfg,
         timings={"export": t_export},
-        metrics={"mean_alpha": {"alpha_e": float(means[0]),
-                                "alpha_h": float(means[1]),
-                                "alpha_s": float(means[2])}},
+        metrics={"mean_alpha": {key: float(value) for key, value
+                                in zip(ROUTING_COLUMNS, means)}},
         artifacts={"checkpoint": str(args.checkpoint),
                    "routing_table": str(out_path)})
 

@@ -7,7 +7,9 @@ A config file is plain text, one ``section.key = value`` per line, with
     train.lr = 0.001
     data.train_path = data/fb15k-237/train.txt
 
-Each key's section is declared with its :class:`TrainConfig` field.
+Each key's section and valid range are declared with its
+:class:`TrainConfig` field, and a config checks itself when it is built,
+whether parsed, constructed or copied by ``dataclasses.replace``.
 Unknown or duplicate keys are hard errors, as are out-of-range and
 non-finite values; there are no silently applied defaults for
 misspelled keys. The format round-trips: ``parse(serialize(cfg))``
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import tensor as T
@@ -28,40 +31,59 @@ DROPOUT_SITES = ("entity", "relation", "composite")
 ENTROPY_SIGNS = ("subtract", "add")
 
 
-def _in(section: str, default):
-    """A field whose file key is ``<section>.<field name>``."""
-    return dataclasses.field(default=default, metadata={"section": section})
+# A range rule, named by the wording of its error message.
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "positive": lambda v: v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+# A numeric field type: the values it admits, its parser, its error noun.
+_KINDS = {"int": (numbers.Integral, int, "an integer"),
+          "float": (numbers.Real, float, "a number")}
+
+
+def _in(section: str, default, rule: str | tuple | None = None):
+    """A field whose file key is ``<section>.<field name>``; its value must
+    pass ``rule``, a :data:`_RULES` name or a tuple of allowed values."""
+    return dataclasses.field(default=default,
+                             metadata={"section": section, "rule": rule})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    d: int = _in("model", 64)
-    heads: int = _in("model", 4)
-    ff_multiplier: int = _in("model", 2)
-    variant: str = _in("model", "cat")
-    curvature: float = _in("model", 1.0)
+    d: int = _in("model", 64, ">= 1")
+    heads: int = _in("model", 4, ">= 1")
+    ff_multiplier: int = _in("model", 2, ">= 1")
+    variant: str = _in("model", "cat", VARIANTS)
+    curvature: float = _in("model", 1.0, "positive")
     activation: str = _in("model", "gelu")
-    batch_size: int = _in("train", 512)
-    epochs: int = _in("train", 200)
-    lr: float = _in("train", 0.001)
-    weight_decay: float = _in("train", 0.001)
-    beta1: float = _in("train", 0.9)
-    beta2: float = _in("train", 0.999)
-    adam_eps: float = _in("train", 1e-8)
-    grad_clip: float = _in("train", 0.0)  # 0 disables the global-norm guard
-    dropout: float = _in("train", 0.2)
+    batch_size: int = _in("train", 512, ">= 1")
+    epochs: int = _in("train", 200, ">= 1")
+    lr: float = _in("train", 0.001, "positive")
+    weight_decay: float = _in("train", 0.001, ">= 0")
+    beta1: float = _in("train", 0.9, "in [0, 1)")
+    beta2: float = _in("train", 0.999, "in [0, 1)")
+    adam_eps: float = _in("train", 1e-8, "positive")
+    grad_clip: float = _in("train", 0.0, ">= 0")  # 0 = no global-norm guard
+    dropout: float = _in("train", 0.2, "in [0, 1)")
     dropout_sites: str = _in("train", "entity,relation,composite")
-    label_smoothing: float = _in("train", 0.1)
-    lambda_ent_init: float = _in("train", 0.01)
-    lambda_ent_decay: float = _in("train", 0.95)
-    lambda_ent_min: float = _in("train", 0.001)
-    entropy_sign: str = _in("train", "subtract")
-    plateau_factor: float = _in("train", 0.5)
-    plateau_patience: int = _in("train", 10)
-    seed: int = _in("train", 0)
+    label_smoothing: float = _in("train", 0.1, "in [0, 1)")
+    lambda_ent_init: float = _in("train", 0.01, ">= 0")
+    lambda_ent_decay: float = _in("train", 0.95, "in (0, 1]")
+    lambda_ent_min: float = _in("train", 0.001, ">= 0")
+    entropy_sign: str = _in("train", "subtract", ENTROPY_SIGNS)
+    plateau_factor: float = _in("train", 0.5, "in (0, 1]")
+    plateau_patience: int = _in("train", 10, ">= 1")
+    seed: int = _in("train", 0, ">= 0")
     train_path: str = _in("data", "")
     valid_path: str = _in("data", "")
     test_path: str = _in("data", "")
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     def sites(self) -> tuple[str, ...]:
         """The dropout sites as a tuple (empty string means none)."""
@@ -71,25 +93,19 @@ class TrainConfig:
 
 
 # Dotted file key -> dataclass field, in serialization (declaration) order.
-KEY_MAP: dict[str, str] = {f"{f.metadata['section']}.{f.name}": f.name
-                           for f in dataclasses.fields(TrainConfig)}
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_FIELDS = {f"{f.metadata['section']}.{f.name}": f
+           for f in dataclasses.fields(TrainConfig)}
+KEY_MAP: dict[str, str] = {key: f.name for key, f in _FIELDS.items()}
 
 
 def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[KEY_MAP[key]]
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    return raw
+    if _FIELDS[key].type not in _KINDS:
+        return raw
+    _, parse, noun = _KINDS[_FIELDS[key].type]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {noun}, got {raw!r}") from None
 
 
 def parse_config(text: str, source: str = "<config>") -> TrainConfig:
@@ -109,7 +125,7 @@ def parse_config(text: str, source: str = "<config>") -> TrainConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
         seen.add(key)
         values[KEY_MAP[key]] = _convert(key, raw)
-    return validate(TrainConfig(**values))
+    return TrainConfig(**values)
 
 
 def load_config(path) -> TrainConfig:
@@ -135,7 +151,7 @@ def serialize_config(cfg: TrainConfig) -> str:
 
 def apply_overrides(cfg: TrainConfig, seed: int | None = None,
                     variant: str | None = None) -> TrainConfig:
-    """Apply command-line overrides and re-validate."""
+    """Apply command-line overrides (the copy validates itself)."""
     updates: dict[str, object] = {}
     if seed is not None:
         updates["seed"] = seed
@@ -143,7 +159,7 @@ def apply_overrides(cfg: TrainConfig, seed: int | None = None,
         updates["variant"] = variant
     if not updates:
         return cfg
-    return validate(dataclasses.replace(cfg, **updates))
+    return dataclasses.replace(cfg, **updates)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -152,33 +168,25 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate(cfg: TrainConfig) -> TrainConfig:
-    for key, name in KEY_MAP.items():
-        if _FIELD_TYPES[name] == "float":
-            value = getattr(cfg, name)
+    """Raise :class:`ConfigError` at the first value ``cfg`` may not hold:
+    types and finiteness first, then each field's rule, then the rest."""
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
+        if f.type in _KINDS:
+            kind, _, noun = _KINDS[f.type]
+            _require(isinstance(value, kind),
+                     f"{key}: expected {noun}, got {value!r}")
+        if f.type == "float":
             _require(math.isfinite(value), f"{key} must be finite, got {value}")
-    _require(cfg.d >= 1, f"model.d must be >= 1, got {cfg.d}")
-    _require(cfg.heads >= 1, f"model.heads must be >= 1, got {cfg.heads}")
+    for key, f in _FIELDS.items():
+        rule, value = f.metadata["rule"], getattr(cfg, f.name)
+        if isinstance(rule, tuple):
+            _require(value in rule, f"{key} must be one of {rule}, got {value!r}")
+        elif rule is not None:
+            _require(_RULES[rule](value), f"{key} must be {rule}, got {value}")
     _require(cfg.d % cfg.heads == 0,
              f"model.d ({cfg.d}) must be divisible by model.heads ({cfg.heads})")
-    _require(cfg.ff_multiplier >= 1,
-             f"model.ff_multiplier must be >= 1, got {cfg.ff_multiplier}")
-    _require(cfg.variant in VARIANTS,
-             f"model.variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    _require(cfg.curvature > 0,
-             f"model.curvature must be positive, got {cfg.curvature}")
     T.activation(cfg.activation)  # raises on unknown names
-    _require(cfg.batch_size >= 1,
-             f"train.batch_size must be >= 1, got {cfg.batch_size}")
-    _require(cfg.epochs >= 1, f"train.epochs must be >= 1, got {cfg.epochs}")
-    _require(cfg.lr > 0, f"train.lr must be positive, got {cfg.lr}")
-    _require(cfg.weight_decay >= 0,
-             f"train.weight_decay must be >= 0, got {cfg.weight_decay}")
-    _require(0 <= cfg.beta1 < 1, f"train.beta1 must be in [0, 1), got {cfg.beta1}")
-    _require(0 <= cfg.beta2 < 1, f"train.beta2 must be in [0, 1), got {cfg.beta2}")
-    _require(cfg.adam_eps > 0, f"train.adam_eps must be positive, got {cfg.adam_eps}")
-    _require(cfg.grad_clip >= 0, f"train.grad_clip must be >= 0, got {cfg.grad_clip}")
-    _require(0 <= cfg.dropout < 1,
-             f"train.dropout must be in [0, 1), got {cfg.dropout}")
     sites = cfg.sites()
     for site in sites:
         _require(site in DROPOUT_SITES,
@@ -186,20 +194,4 @@ def validate(cfg: TrainConfig) -> TrainConfig:
                  f"choose from {DROPOUT_SITES}")
     _require(len(set(sites)) == len(sites),
              f"train.dropout_sites has duplicates: {cfg.dropout_sites!r}")
-    _require(0 <= cfg.label_smoothing < 1,
-             f"train.label_smoothing must be in [0, 1), got {cfg.label_smoothing}")
-    _require(cfg.lambda_ent_init >= 0,
-             f"train.lambda_ent_init must be >= 0, got {cfg.lambda_ent_init}")
-    _require(0 < cfg.lambda_ent_decay <= 1,
-             f"train.lambda_ent_decay must be in (0, 1], got {cfg.lambda_ent_decay}")
-    _require(cfg.lambda_ent_min >= 0,
-             f"train.lambda_ent_min must be >= 0, got {cfg.lambda_ent_min}")
-    _require(cfg.entropy_sign in ENTROPY_SIGNS,
-             f"train.entropy_sign must be one of {ENTROPY_SIGNS}, "
-             f"got {cfg.entropy_sign!r}")
-    _require(0 < cfg.plateau_factor <= 1,
-             f"train.plateau_factor must be in (0, 1], got {cfg.plateau_factor}")
-    _require(cfg.plateau_patience >= 1,
-             f"train.plateau_patience must be >= 1, got {cfg.plateau_patience}")
-    _require(cfg.seed >= 0, f"train.seed must be >= 0, got {cfg.seed}")
     return cfg

@@ -426,6 +426,10 @@ def total_loss(ce: Tensor, entropy: Tensor, lambda_ent: float,
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# The per-geometry routing weights, in the router's output order.
+ROUTING_COLUMNS = ("alpha_e", "alpha_h", "alpha_s")
+
+
 @dataclass(frozen=True)
 class Metrics:
     mrr: float

@@ -648,7 +648,7 @@ def activation(name: str) -> Callable[[Tensor], Tensor]:
     """Look up a smooth activation by config name."""
     try:
         return _ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
         ) from None

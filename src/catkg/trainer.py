@@ -18,8 +18,8 @@ from . import tensor as T
 from .config import TrainConfig
 from .errors import (ConfigError, IncompatibilityError, NumericsError,
                      UnsupportedVariantError)
-from .kg import (KgModel, TripleStore, evaluate, routing_entropy,
-                 smoothed_ce_loss, total_loss)
+from .kg import (ROUTING_COLUMNS, KgModel, TripleStore, evaluate,
+                 routing_entropy, smoothed_ce_loss, total_loss)
 from .tensor import Tensor
 
 
@@ -179,8 +179,7 @@ class EpochRecord:
                  f"lr={self.lr!r}",
                  f"lambda={self.lambda_ent!r}"]
         if self.mean_alpha is not None:
-            for key, value in zip(("alpha_e", "alpha_h", "alpha_s"),
-                                  self.mean_alpha):
+            for key, value in zip(ROUTING_COLUMNS, self.mean_alpha):
                 parts.append(f"{key}={value!r}")
         return " ".join(parts)
 
@@ -204,8 +203,12 @@ def train(store: TripleStore, cfg: TrainConfig,
     during that epoch's optimizer steps; the scheduler and annealer run
     after validation. The returned model carries the parameters of the
     epoch with the highest validation MRR. Fixed-geometry variants use
-    the identical loop with the entropy weight pinned to zero.
+    the identical loop with the entropy weight pinned to zero. An empty
+    train or valid split is rejected before the first step.
     """
+    for split in ("train", "valid"):
+        if store.split(split).shape[0] == 0:
+            raise ConfigError(f"cannot train with an empty {split!r} split")
     model = KgModel(store.n_entities, store.n_relations, cfg)
     params = model.parameters()
     opt = AdamW(params, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2,
@@ -342,7 +345,7 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     # Only alpha is read; the logits of every batch land in one buffer.
     buf = np.empty((min(1024, triples.shape[0]), store.n_entities))
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("head\trelation\talpha_e\talpha_h\talpha_s\n")
+        fh.write("\t".join(("head", "relation") + ROUTING_COLUMNS) + "\n")
         for start in range(0, triples.shape[0], 1024):
             batch = triples[start:start + 1024]
             _, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
@@ -353,6 +356,6 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
                 fh.write(f"{entity_names[int(h)]}\t{relation_names[int(r)]}\t"
                          f"{float(w[0])!r}\t{float(w[1])!r}\t{float(w[2])!r}\n")
         means = alpha_sum / triples.shape[0]
-        for key, value in zip(("alpha_e", "alpha_h", "alpha_s"), means):
+        for key, value in zip(ROUTING_COLUMNS, means):
             fh.write(f"# mean {key} {float(value)!r}\n")
     return means

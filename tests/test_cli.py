@@ -15,9 +15,11 @@ import re
 import numpy as np
 import pytest
 
+from catkg.attention import VARIANTS
 from catkg.cli import _write_manifest, main
-from catkg.config import (KEY_MAP, TrainConfig, apply_overrides, load_config,
-                          parse_config, serialize_config, validate)
+from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, apply_overrides,
+                          load_config, parse_config, serialize_config,
+                          validate)
 from catkg.errors import ConfigError, ParseError, PathError
 from catkg.tensor import load_checkpoint, save_checkpoint
 
@@ -210,6 +212,90 @@ class TestConfigFormat:
         assert changed.seed == 4 and changed.variant == "spherical"
         with pytest.raises(ConfigError):
             apply_overrides(cfg, seed=-1)
+
+
+# Every key with a rule, in file order: the one declaration of what a
+# valid run setting is. Each comes with an out-of-range value as the file
+# spells it.
+RULED_KEYS = [
+    ("model.d", ">= 1", "0"), ("model.heads", ">= 1", "-2"),
+    ("model.ff_multiplier", ">= 1", "0"),
+    ("model.variant", VARIANTS, "toroidal"),
+    ("model.curvature", "positive", "-0.5"),
+    ("train.batch_size", ">= 1", "0"), ("train.epochs", ">= 1", "0"),
+    ("train.lr", "positive", "-1.0"),
+    ("train.weight_decay", ">= 0", "-0.001"),
+    ("train.beta1", "in [0, 1)", "1.0"), ("train.beta2", "in [0, 1)", "-0.1"),
+    ("train.adam_eps", "positive", "0"), ("train.grad_clip", ">= 0", "-1"),
+    ("train.dropout", "in [0, 1)", "1"),
+    ("train.label_smoothing", "in [0, 1)", "1.5"),
+    ("train.lambda_ent_init", ">= 0", "-0.01"),
+    ("train.lambda_ent_decay", "in (0, 1]", "2.0"),
+    ("train.lambda_ent_min", ">= 0", "-1e-9"),
+    ("train.entropy_sign", ENTROPY_SIGNS, "times"),
+    ("train.plateau_factor", "in (0, 1]", "0"),
+    ("train.plateau_patience", ">= 1", "0"), ("train.seed", ">= 0", "-1"),
+]
+
+# Values no single field's rule can reject, checked by hand after the rules.
+UNRULED_BAD = [("model.heads", "3"), ("model.activation", "relu"),
+               ("train.dropout_sites", "entty"),
+               ("train.dropout_sites", "entity,entity")]
+
+
+def _typed(key, raw):
+    """``raw`` converted as parse_config converts the key's value."""
+    kind = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    return {"int": int, "float": float, "str": str}[kind[KEY_MAP[key]]](raw)
+
+
+def _message(call):
+    with pytest.raises(ConfigError) as info:
+        call()
+    return str(info.value)
+
+
+class TestConfigRules:
+    def test_ruled_keys_in_file_order(self):
+        declared = [(key, f.metadata["rule"]) for key, f in
+                    zip(KEY_MAP, dataclasses.fields(TrainConfig))
+                    if f.metadata["rule"] is not None]
+        assert declared == [(key, rule) for key, rule, _ in RULED_KEYS]
+
+    @pytest.mark.parametrize("key,rule,raw", RULED_KEYS)
+    def test_constructor_raises_the_file_error(self, key, rule, raw):
+        value = _typed(key, raw)
+        built = _message(lambda: TrainConfig(**{KEY_MAP[key]: value}))
+        assert built == _message(lambda: parse_config(f"{key} = {raw}\n"))
+        assert built == (f"{key} must be one of {rule}, got {value!r}"
+                         if isinstance(rule, tuple)
+                         else f"{key} must be {rule}, got {value}")
+
+    @pytest.mark.parametrize("key,raw", UNRULED_BAD)
+    def test_cross_field_and_parsed_checks_match_the_file(self, key, raw):
+        value = _typed(key, raw)
+        assert (_message(lambda: TrainConfig(**{KEY_MAP[key]: value}))
+                == _message(lambda: parse_config(f"{key} = {raw}\n")))
+
+    def test_replace_checks_the_copy(self):
+        assert (_message(lambda: dataclasses.replace(TrainConfig(), lr=0.0))
+                == "train.lr must be positive, got 0.0")
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("d", "8", "model.d: expected an integer, got '8'"),
+        ("seed", 1.0, "train.seed: expected an integer, got 1.0"),
+        ("lr", "0.1", "train.lr: expected a number, got '0.1'"),
+        ("dropout", None, "train.dropout: expected a number, got None"),
+        ("activation", ["gelu"],
+         "unknown activation ['gelu']; choose from ['gelu', 'tanh']"),
+    ])
+    def test_wrong_type_is_invalid_config(self, name, value, message):
+        assert _message(lambda: TrainConfig(**{name: value})) == message
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = TrainConfig(seed=np.int64(3), epochs=np.int32(2),
+                          lr=np.float32(0.5))
+        assert (cfg.seed, cfg.epochs, cfg.lr) == (3, 2, 0.5)
 
 
 class TestTrainCommand:
@@ -578,6 +664,20 @@ class TestErrorSurface:
         assert code == 1
         assert stderr.startswith("error: path-error: ")
         assert "data.train_path" in stderr
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_empty_split_exits_one_before_training(self, tmp_path, split):
+        paths = write_dataset(tmp_path)
+        (tmp_path / f"{split}.txt").write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(["train", "--config",
+                                        str(write_config(tmp_path, paths)),
+                                        "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: invalid-config: cannot train with an "
+                          f"empty {split!r} split\n")
+        assert not (out / "model.catw").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_malformed_dataset_line_exits_one(self, tmp_path):
         paths = write_dataset(tmp_path)

@@ -79,6 +79,19 @@ def store():
     return build_toy_store(n_entities=20, n_train=60, n_valid=10, n_test=5)
 
 
+def count_steps(monkeypatch) -> list:
+    """One entry per :meth:`AdamW.step` call from here on."""
+    calls = []
+    step = AdamW.step
+
+    def counted(self):
+        calls.append(self.step_count)
+        step(self)
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    return calls
+
+
 class TestAdamW:
     def test_no_gradient_means_no_motion_without_decay(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -435,6 +448,28 @@ class TestTrainLoop:
         params = result.model.parameters()
         for name, p in plain.model.parameters().items():
             assert np.array_equal(p.data, params[name].data), name
+
+    def test_step_counter_sees_every_step(self, store, monkeypatch):
+        steps = count_steps(monkeypatch)
+        train(store, small_cfg(epochs=2, batch_size=25))
+        assert steps == [0, 1, 2, 3, 4, 5]
+
+    def test_invalid_config_never_reaches_a_step(self, store, monkeypatch):
+        steps = count_steps(monkeypatch)
+        with pytest.raises(ConfigError) as info:
+            train(store, TrainConfig(lr=-1.0))
+        assert str(info.value) == "train.lr must be positive, got -1.0"
+        assert steps == []
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_empty_split_raises_before_any_step(self, store, split,
+                                                monkeypatch):
+        setattr(store, split, np.zeros((0, 3), dtype=np.int64))
+        steps = count_steps(monkeypatch)
+        with pytest.raises(ConfigError) as info:
+            train(store, small_cfg())
+        assert str(info.value) == f"cannot train with an empty {split!r} split"
+        assert steps == []
 
     def test_divergence_raises_with_location(self, store):
         with warnings.catch_warnings():
