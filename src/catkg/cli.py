@@ -31,8 +31,8 @@ from . import trainer as trainer_mod
 from .attention import VARIANTS
 from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
                      serialize_config)
-from .errors import CatkgError, PathError
-from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
+from .errors import CatkgError, ConfigError, PathError
+from .kg import ROUTING_COLUMNS, KgModel, Metrics, evaluate, load_triples
 from .tensor import atomic_write
 from .trainer import export_routing, load_model, save_model, train
 
@@ -204,6 +204,10 @@ def _cmd_train(args) -> None:
     t0 = time.perf_counter()
     cfg, out_dir, store = _load_data(args)
     t_load = time.perf_counter() - t0
+    # train() checks the train and valid splits; test is read only after
+    # the last epoch, so check it before the first.
+    if store.test.shape[0] == 0:
+        raise ConfigError("cannot train with an empty 'test' split")
 
     log_path = out_dir / "epochs.log"
     t0 = time.perf_counter()
@@ -216,8 +220,11 @@ def _cmd_train(args) -> None:
     with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
 
+    # The returned model is the best epoch's, whose validation is on record.
+    best = result.records[result.best_epoch - 1]
+    valid_metrics = Metrics(best.valid_mrr, best.valid_hits10,
+                            store.valid.shape[0])
     t0 = time.perf_counter()
-    valid_metrics = evaluate(store, result.model, "valid")
     test_metrics = evaluate(store, result.model, "test")
     t_eval = time.perf_counter() - t0
 

@@ -10,7 +10,6 @@ known to complete (h, r, ·) in any split is masked out first.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +40,13 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[np.diff(ascending, prepend=-1) != 0]
 
 
-class FilterIndex(Mapping):
+class FilterIndex:
     """Known tails of every (head, relation) pair, over all three splits.
 
     Every known triple is one code ``(h·R + r)·E + t`` in a sorted array
     without repeats, so the tails of (h, r) are the run of codes in
     ``[(h·R + r)·E, (h·R + r + 1)·E)`` and ``tails = codes % E`` holds
-    them in ascending order. As a read-only mapping it takes (h, r) to
-    that sorted int64 array; pairs with no known tail are absent.
+    them in ascending order.
     """
 
     def __init__(self, triples: np.ndarray, n_entities: int,
@@ -84,22 +82,12 @@ class FilterIndex(Mapping):
         lo, hi = self.spans(h, r)
         return self.tails[lo:hi]
 
-    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        tails = self.known_tails(*key)
-        if not tails.size:
-            raise KeyError(key)
-        return tails
-
-    def _pairs(self) -> np.ndarray:
-        """The ``h·R + r`` of every pair with a known tail, ascending."""
-        return _distinct(self.codes // self.n_entities)
-
-    def __iter__(self):
-        return (divmod(pair, self.n_relations)
-                for pair in self._pairs().tolist())
-
-    def __len__(self) -> int:
-        return self._pairs().size
+    def values(self):
+        """The known tails of each pair that has any, in ascending pair
+        order; nothing for an empty index."""
+        ends = (np.flatnonzero(np.diff(self.codes // self.n_entities,
+                                       append=-1)) + 1).tolist()
+        return (self.tails[lo:hi] for lo, hi in zip([0] + ends, ends))
 
 
 @dataclass
@@ -273,16 +261,12 @@ class KgModel(Module):
     def parameter_count(self) -> int:
         return parameter_count(self)
 
-    def score(self, heads: np.ndarray, relations: np.ndarray,
-              training: bool = False, rng=None, out: np.ndarray | None = None):
-        """Logits over all tails for a batch of (h, r) queries.
+    def query(self, heads: np.ndarray, relations: np.ndarray,
+              training: bool = False, rng=None):
+        """Query vectors for a batch of (h, r) pairs, before the head.
 
-        Returns ``(logits, alpha)`` with logits (B, n_entities) and alpha
-        (B, 1, 3) routing weights (None for fixed-geometry variants).
-        With ``out``, a C-contiguous float64 (B, n_entities) array, the
-        logits are written into it and ``logits.data`` is ``out``; the
-        caller may reuse it once the logits have been read, since no
-        backward reads it. Without ``out`` a new array is allocated.
+        Returns ``(query, alpha)`` with query (B, d) and alpha (B, 1, 3)
+        routing weights (None for fixed-geometry variants).
         """
         heads = np.atleast_1d(T.index_array(heads, "head"))
         relations = np.atleast_1d(T.index_array(relations, "relation"))
@@ -303,7 +287,20 @@ class KgModel(Module):
         batch = x.shape[0]
         tokens = x.reshape(batch, 1, x.shape[-1])
         y, alpha = self.block.forward(tokens)
-        query = y.reshape(batch, y.shape[-1])
+        return y.reshape(batch, y.shape[-1]), alpha
+
+    def score(self, heads: np.ndarray, relations: np.ndarray,
+              training: bool = False, rng=None, out: np.ndarray | None = None):
+        """Logits over all tails for a batch of (h, r) queries.
+
+        Returns ``(logits, alpha)`` with logits (B, n_entities) and alpha
+        as :meth:`query` gives it. With ``out``, a C-contiguous float64
+        (B, n_entities) array, the logits are written into it and
+        ``logits.data`` is ``out``; the caller may reuse it once the
+        logits have been read, since no backward reads it. Without
+        ``out`` a new array is allocated.
+        """
+        query, alpha = self.query(heads, relations, training, rng)
         return T.inner(query, self.entity_emb, out=out), alpha
 
 

@@ -57,9 +57,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"

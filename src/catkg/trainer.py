@@ -189,7 +189,10 @@ class TrainResult:
     model: KgModel
     records: list[EpochRecord]
     best_epoch: int
-    best_valid_mrr: float
+
+    @property
+    def best_valid_mrr(self) -> float:
+        return self.records[self.best_epoch - 1].valid_mrr
 
     def log_text(self) -> str:
         return "\n".join(r.line() for r in self.records) + "\n"
@@ -225,7 +228,6 @@ def train(store: TripleStore, cfg: TrainConfig,
     triples = store.train
     n_train = triples.shape[0]
     records: list[EpochRecord] = []
-    best_mrr = -math.inf
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
     # Every step writes its logits and the loss's gradient here; the
@@ -260,7 +262,6 @@ def train(store: TripleStore, cfg: TrainConfig,
             opt.step()
             loss_sum += loss_value * idx.size
 
-        lr_used = opt.lr
         try:
             valid_metrics = evaluate(store, model, "valid")
         except NumericsError as exc:
@@ -271,7 +272,7 @@ def train(store: TripleStore, cfg: TrainConfig,
             train_loss=loss_sum / n_train,
             valid_mrr=valid_metrics.mrr,
             valid_hits10=valid_metrics.hits_at_10,
-            lr=lr_used,
+            lr=opt.lr,
             lambda_ent=lam,
             mean_alpha=valid_metrics.mean_alpha,
         )
@@ -280,8 +281,7 @@ def train(store: TripleStore, cfg: TrainConfig,
             log_stream.write(record.line() + "\n")
             log_stream.flush()
 
-        if valid_metrics.mrr > best_mrr:
-            best_mrr = valid_metrics.mrr
+        if valid_metrics.mrr > sched.best:
             best_epoch = epoch
             best_state = {k: p.data.copy() for k, p in params.items()}
         sched.step(valid_metrics.mrr)
@@ -290,7 +290,7 @@ def train(store: TripleStore, cfg: TrainConfig,
 
     for name, data in best_state.items():
         params[name].data[...] = data
-    return TrainResult(model, records, best_epoch, best_mrr)
+    return TrainResult(model, records, best_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +342,11 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)
-    # Only alpha is read; the logits of every batch land in one buffer.
-    buf = np.empty((min(1024, triples.shape[0]), store.n_entities))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(("head", "relation") + ROUTING_COLUMNS) + "\n")
         for start in range(0, triples.shape[0], 1024):
             batch = triples[start:start + 1024]
-            _, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
-                                   out=buf[:batch.shape[0]])
+            _, alpha = model.query(batch[:, 0], batch[:, 1])
             weights = alpha.data.reshape(-1, 3)
             alpha_sum += weights.sum(axis=0)
             for (h, r, _), w in zip(batch, weights):

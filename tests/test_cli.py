@@ -15,12 +15,15 @@ import re
 import numpy as np
 import pytest
 
+from catkg import cli as cli_mod
+from catkg import trainer as trainer_mod
 from catkg.attention import VARIANTS
 from catkg.cli import _write_manifest, main
 from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, apply_overrides,
                           load_config, parse_config, serialize_config,
                           validate)
 from catkg.errors import ConfigError, ParseError, PathError
+from catkg.kg import evaluate
 from catkg.tensor import load_checkpoint, save_checkpoint
 
 from conftest import build_toy_store, write_store_files
@@ -361,6 +364,32 @@ class TestTrainCommand:
         log = (out / "epochs.log").read_text()
         assert "alpha_e=" not in log  # fixed geometry logs no routing
 
+    def test_validates_each_epoch_and_tests_once(self, trained, tmp_path,
+                                                 monkeypatch):
+        splits = []
+
+        def counted(store, model, split, *args, **kwargs):
+            splits.append(split)
+            return evaluate(store, model, split, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "evaluate", counted)
+        monkeypatch.setattr(cli_mod, "evaluate", counted)
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(["train", "--config",
+                                     str(trained["config"]),
+                                     "--out-dir", str(out)])
+        assert code == 0, err
+        assert splits == ["valid"] * 8 + ["test"]
+        # The valid report is the best epoch's record, to the last bit.
+        best = int(re.search(r"best_epoch=(\d+)", stdout).group(1))
+        record = (out / "epochs.log").read_text().splitlines()[best - 1]
+        mrr = re.search(r"valid_mrr=(\S+)", record).group(1)
+        hits = re.search(r"valid_hits10=(\S+)", record).group(1)
+        assert stdout.startswith(
+            f"split=valid seed=7 metric=mrr value={mrr}\n"
+            f"split=valid seed=7 metric=hits_at_10 value={hits}\n"
+            f"split=valid seed=7 metric=n_evaluated value=10\n")
+
     def test_default_out_dir_is_runs_command(self, trained, tmp_path,
                                              monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -665,7 +694,7 @@ class TestErrorSurface:
         assert stderr.startswith("error: path-error: ")
         assert "data.train_path" in stderr
 
-    @pytest.mark.parametrize("split", ["train", "valid"])
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
     def test_empty_split_exits_one_before_training(self, tmp_path, split):
         paths = write_dataset(tmp_path)
         (tmp_path / f"{split}.txt").write_text("", encoding="utf-8")
@@ -678,6 +707,8 @@ class TestErrorSurface:
                           f"empty {split!r} split\n")
         assert not (out / "model.catw").exists()
         assert not (out / "manifest.json").exists()
+        log = out / "epochs.log"
+        assert not log.exists() or log.read_text() == ""  # no epoch ran
 
     def test_malformed_dataset_line_exits_one(self, tmp_path):
         paths = write_dataset(tmp_path)

@@ -305,37 +305,46 @@ class TestLoaderMatchesLineByLine:
         for name, rows in zip(("train", "valid", "test"), splits):
             got = store.split(name)
             assert got.dtype == np.int64 and np.array_equal(got, rows)
-        assert len(store.filter_index) == len(filter_index)
-        assert ({key: set(tails.tolist())
-                 for key, tails in store.filter_index.items()}
-                == filter_index)
+        # Equal triple counts rule out extra triples; the per-pair lists,
+        # in ascending (h, r) order, give the same tails to the same pairs.
+        index = store.filter_index
+        assert index.codes.size == sum(len(t) for t in filter_index.values())
+        assert ([tails.tolist() for tails in index.values()]
+                == [sorted(filter_index[key]) for key in sorted(filter_index)])
         for (h, r), tails in filter_index.items():
             assert store.known_tails(h, r).tolist() == sorted(tails)
 
 
 class TestFilterIndex:
-    def test_mapping_view(self):
+    def test_pairs_tails_and_values(self):
         index = FilterIndex(np.array([[0, 0, 2], [0, 0, 1], [1, 1, 0],
                                       [0, 0, 2]]), 3, 2)
-        assert {k: v.tolist() for k, v in index.items()} == {
-            (0, 0): [1, 2], (1, 1): [0]}
-        assert len(index) == 2 and (0, 1) not in index
-        with pytest.raises(KeyError):
-            index[0, 1]
+        known = {(h, r): index.known_tails(h, r).tolist()
+                 for h in range(3) for r in range(2)}
+        assert known == {(0, 0): [1, 2], (0, 1): [], (1, 0): [],
+                         (1, 1): [0], (2, 0): [], (2, 1): []}
+        assert index.tails.tolist() == [1, 2, 0]
+        assert [tails.tolist() for tails in index.values()] == [[1, 2], [0]]
         # (0, 2) would alias the codes of (1, 0) if relations were not
         # checked against the vocabulary.
-        for h, r in ((0, 1), (3, 0), (0, 2), (-1, 0)):
+        for h, r in ((3, 0), (0, 2), (-1, 0)):
             assert index.known_tails(h, r).tolist() == []
-        with pytest.raises(ValueError):
-            index[0, 0][0] = 5
+        for tails in (index.tails, index.known_tails(0, 0),
+                      next(index.values())):
+            with pytest.raises(ValueError):
+                tails[0] = 5
+        assert list(FilterIndex(np.empty((0, 3)), 3, 2).values()) == []
 
     def test_spans_delimit_each_pairs_tails(self):
         store = build_toy_store(n_entities=9, n_relations=3, n_train=60)
         index = store.filter_index
         heads, relations = store.test[:, 0], store.test[:, 1]
         lo, hi = index.spans(heads, relations)
+        triples = np.concatenate([store.train, store.valid, store.test])
         for h, r, a, b in zip(heads, relations, lo, hi):
-            assert np.array_equal(index.tails[a:b], index[h, r])
+            assert np.array_equal(index.tails[a:b], index.known_tails(h, r))
+            pair = (triples[:, 0] == h) & (triples[:, 1] == r)
+            assert index.tails[a:b].tolist() == sorted(set(triples[pair, 2]))
 
     def test_codes_that_would_overflow_int64_are_refused(self):
         # 2^63 - 1 = 49 · (2^63 - 1) / 49: with 7 entities, this many
@@ -423,6 +432,16 @@ class TestModelScoring:
         expected = y.data.reshape(3, 8) @ model.entity_emb.data.T
         logits, _ = model.score(heads, rels)
         assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+
+    def test_score_is_the_head_over_the_query(self):
+        model = KgModel(12, 4, self.cfg)
+        heads, rels = np.array([0, 5, 9]), np.array([1, 3, 0])
+        query, alpha = model.query(heads, rels)
+        logits, score_alpha = model.score(heads, rels)
+        assert query.shape == (3, 8)
+        assert np.array_equal(logits.data,
+                              T.inner(query, model.entity_emb).data)
+        assert np.array_equal(alpha.data, score_alpha.data)
 
     def test_score_all_tails_is_one_row(self):
         model = KgModel(12, 4, self.cfg)

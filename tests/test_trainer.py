@@ -593,14 +593,27 @@ class TestExportRouting:
             if not line.startswith("#"):
                 assert line.endswith("0.0\t1.0\t0.0")
 
-    def test_batches_share_one_logits_buffer(self, tmp_path, monkeypatch):
+    def test_never_computes_logits(self, tmp_path, monkeypatch):
         big = build_toy_store(n_entities=40, n_relations=2, n_train=10,
                               n_test=1100)
         model = KgModel(big.n_entities, big.n_relations, small_cfg())
-        seen = record_out_buffers(monkeypatch)
+        batches = []
+        query = KgModel.query
+
+        def spy(self, heads, relations, *args, **kwargs):
+            batches.append(len(heads))
+            return query(self, heads, relations, *args, **kwargs)
+
+        def no_head(*args, **kwargs):
+            raise AssertionError("the scoring head ran")
+
+        monkeypatch.setattr(KgModel, "query", spy)
+        monkeypatch.setattr(T, "inner", no_head)
+        with pytest.raises(AssertionError, match="scoring head"):  # control
+            model.score(big.test[:1, 0], big.test[:1, 1])
+        batches.clear()
         export_routing(model, big, "test", tmp_path / "r.tsv")
-        assert [out.shape for _, out in seen] == [(1024, 40), (76, 40)]
-        assert np.shares_memory(seen[0][1], seen[1][1])
+        assert batches == [1024, 76]
 
     def test_means_match_best_epoch_record_exactly(self, store, tmp_path):
         # Two bookkeeping paths to the same number: the per-epoch record of
