@@ -204,10 +204,10 @@ def _cmd_train(args) -> None:
     t0 = time.perf_counter()
     cfg, out_dir, store = _load_data(args)
     t_load = time.perf_counter() - t0
-    # train() checks the train and valid splits; test is read only after
-    # the last epoch, so check it before the first.
-    if store.test.shape[0] == 0:
-        raise ConfigError("cannot train with an empty 'test' split")
+    # Checked before epochs.log is opened, so a refused run leaves no file.
+    for split in kg_mod.SPLITS:
+        if store.split(split).shape[0] == 0:
+            raise ConfigError(f"cannot train with an empty {split!r} split")
 
     log_path = out_dir / "epochs.log"
     t0 = time.perf_counter()

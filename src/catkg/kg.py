@@ -380,7 +380,6 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
              + off * (x_sum - n * shift)).mean()
     if logits.requires_grad:
         grad[rows, targets] -= on * inv_batch
-    result = Tensor(loss, logits.requires_grad)
 
     def backward_fn(g):
         # The tape runs this once; a training step's g is exactly 1.
@@ -388,8 +387,7 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
             np.multiply(grad, g, out=grad)
         return (grad,)
 
-    T._record(result, (logits,), backward_fn)
-    return result
+    return T.node(loss, (logits,), backward_fn)
 
 
 def routing_entropy(alpha: Tensor) -> Tensor:

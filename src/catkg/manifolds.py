@@ -60,14 +60,12 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def project_ball(x, c) -> Tensor:
     """Pull points of norm > (1 - BOUNDARY_EPS)/sqrt(c) back to that radius.
 
-    Interior points pass through unchanged (the rescale factor clips to
-    exactly 1), so the operation is idempotent.
+    This is :func:`radial_clip` at that radius. Interior points pass
+    through unchanged (the rescale factor clips to exactly 1), so the
+    operation is idempotent.
     """
     c = check_curvature(c)
-    x = T.as_tensor(x)
-    limit = (1.0 - BOUNDARY_EPS) / math.sqrt(c)
-    scale = T.clip(limit / safe_norm(x), hi=1.0)
-    return x * scale
+    return radial_clip(x, (1.0 - BOUNDARY_EPS) / math.sqrt(c))
 
 
 def mobius_add(x, y, c) -> Tensor:
@@ -147,7 +145,6 @@ def radial_clip(x, radius: float) -> Tensor:
     x = T.as_tensor(x)
     n = _row_norms(x.data)
     scale = np.minimum(1.0, radius / n)
-    out = Tensor(x.data * scale, x.requires_grad)
 
     def backward_fn(g):
         gx = g * scale
@@ -157,8 +154,7 @@ def radial_clip(x, radius: float) -> Tensor:
             gx -= unit * ((unit * gx).sum(axis=-1, keepdims=True) * clipped)
         return (gx,)
 
-    T._record(out, (x,), backward_fn)
-    return out
+    return T.node(x.data * scale, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +269,6 @@ def sphere_fold(x) -> Tensor:
     b = last - cos_t  # nonzero only where the top of the clamp binds
     r = np.sqrt(s * s + b * b)
     f = theta * s / r  # θ·sign(s) wherever b = 0
-    out = Tensor(np.concatenate([x.data * (f / n), theta * b / r], axis=-1),
-                 x.requires_grad)
 
     def backward_fn(g):
         gt, gl = g[..., :-1], g[..., -1:]
@@ -296,5 +290,5 @@ def sphere_fold(x) -> Tensor:
         gx += unit * rho
         return (gx,)
 
-    T._record(out, (x,), backward_fn)
-    return out
+    return T.node(np.concatenate([x.data * (f / n), theta * b / r], axis=-1),
+                  (x,), backward_fn)

@@ -209,11 +209,20 @@ class Tape:
         self._consumed = True
 
 
-def _record(output: Tensor, inputs: tuple[Tensor, ...],
-            backward_fn: Callable) -> None:
-    tape = _active_tape()
-    if tape is not None and output.requires_grad:
-        tape.record(output, inputs, backward_fn)
+def node(data, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
+    """The output of one op over ``inputs``, holding ``data``.
+
+    It needs a gradient when any input does, and only then is it recorded
+    on the active tape. ``backward_fn`` maps the output gradient to one
+    gradient (or None) per input. Every op, fused or not, builds its
+    output here.
+    """
+    out = Tensor(data, any(t.requires_grad for t in inputs))
+    if out.requires_grad:
+        tape = _active_tape()
+        if tape is not None:
+            tape.record(out, inputs, backward_fn)
+    return out
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -232,46 +241,38 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                    _unbroadcast(g, b.shape)))
-    return out
+    return node(a.data + b.data, (a, b),
+                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                    _unbroadcast(-g, b.shape)))
-    return out
+    return node(a.data - b.data, (a, b),
+                lambda g: (_unbroadcast(g, a.shape),
+                           _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-    _record(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                    _unbroadcast(g * a.data, b.shape)))
-    return out
+    return node(a.data * b.data, (a, b),
+                lambda g: (_unbroadcast(g * b.data, a.shape),
+                           _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
 
     def backward_fn(g):
         ga = _unbroadcast(g / b.data, a.shape)
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    _record(out, (a, b), backward_fn)
-    return out
+    return node(a.data / b.data, (a, b), backward_fn)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-    _record(out, (a,), lambda g: (-g,))
-    return out
+    return node(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -294,7 +295,6 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != k or not (shared or a.shape[:-2] == b.shape[:-2]):
         raise ShapeError(f"matmul needs (..., m, k) @ (k, n) or equal batch"
                          f" dimensions, got {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward_fn(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -302,22 +302,18 @@ def matmul(a, b) -> Tensor:
             return ga, a.data.reshape(-1, k).T @ g.reshape(-1, n)
         return ga, np.matmul(np.swapaxes(a.data, -1, -2), g)
 
-    _record(out, (a, b), backward_fn)
-    return out
+    return node(np.matmul(a.data, b.data), (a, b), backward_fn)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    _record(out, (a,), lambda g: (g.reshape(a.shape),))
-    return out
+    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, axis1, axis2), a.requires_grad)
-    _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
-    return out
+    return node(np.swapaxes(a.data, axis1, axis2), (a,),
+                lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -326,46 +322,33 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Tensor(a.data[index], a.requires_grad)
 
     def backward_fn(g):
         ga = np.zeros_like(a.data)
         ga[index] = g
         return (ga,)
 
-    _record(out, (a,), backward_fn)
-    return out
+    return node(a.data[index], (a,), backward_fn)
 
 
 def concat(a, b, axis: int = -1) -> Tensor:
     """Concatenate two tensors along ``axis``."""
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(np.concatenate([a.data, b.data], axis=axis),
-                 a.requires_grad or b.requires_grad)
     split = a.shape[axis if axis >= 0 else a.ndim + axis]
-
-    def backward_fn(g):
-        ga, gb = np.split(g, [split], axis=axis)
-        return ga, gb
-
-    _record(out, (a, b), backward_fn)
-    return out
+    return node(np.concatenate([a.data, b.data], axis=axis), (a, b),
+                lambda g: tuple(np.split(g, [split], axis=axis)))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
 
     def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, tuple(ax % a.ndim for ax in axes))
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    _record(out, (a,), backward_fn)
-    return out
+    return node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward_fn)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -380,10 +363,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def _elementwise(a, fn, dfn) -> Tensor:
     a = as_tensor(a)
-    out_data = fn(a.data)
-    out = Tensor(out_data, a.requires_grad)
-    _record(out, (a,), lambda g: (g * dfn(a.data, out_data),))
-    return out
+    y = fn(a.data)
+    return node(y, (a,), lambda g: (g * dfn(a.data, y),))
 
 
 def exp(a) -> Tensor:
@@ -422,7 +403,6 @@ def arccos(a) -> Tensor:
 def clip(a, lo=None, hi=None) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through the interior."""
     a = as_tensor(a)
-    out = Tensor(np.clip(a.data, lo, hi), a.requires_grad)
 
     def backward_fn(g):
         mask = np.ones_like(a.data)
@@ -432,8 +412,7 @@ def clip(a, lo=None, hi=None) -> Tensor:
             mask *= a.data <= hi
         return (g * mask,)
 
-    _record(out, (a,), backward_fn)
-    return out
+    return node(np.clip(a.data, lo, hi), (a,), backward_fn)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -442,14 +421,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, a.requires_grad)
 
     def backward_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    _record(out, (a,), backward_fn)
-    return out
+    return node(y, (a,), backward_fn)
 
 
 def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
@@ -469,9 +446,7 @@ def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
     elif not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     scale = (rng.random(a.shape) >= p) / (1.0 - p)
-    out = Tensor(a.data * scale, a.requires_grad)
-    _record(out, (a,), lambda g: (g * scale,))
-    return out
+    return node(a.data * scale, (a,), lambda g: (g * scale,))
 
 
 def index_array(indices, what: str = "index") -> Array:
@@ -497,15 +472,13 @@ def embedding(table, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexLookupError(
             f"index out of bounds for table with {table.shape[0]} rows")
-    out = Tensor(table.data[idx], table.requires_grad)
 
     def backward_fn(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
         return (gt,)
 
-    _record(out, (table,), backward_fn)
-    return out
+    return node(table.data[idx], (table,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +500,12 @@ def affine(x, w, b) -> Tensor:
     x2 = x.data.reshape(-1, k)
     y = x2 @ w.data
     y += b.data
-    out = Tensor(y.reshape(x.shape[:-1] + (n,)),
-                 x.requires_grad or w.requires_grad or b.requires_grad)
 
     def backward_fn(g):
         g2 = g.reshape(-1, n)
         return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    _record(out, (x, w, b), backward_fn)
-    return out
+    return node(y.reshape(x.shape[:-1] + (n,)), (x, w, b), backward_fn)
 
 
 def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
@@ -564,11 +534,8 @@ def inner(q, table, out: Array | None = None) -> Tensor:
         raise ShapeError(f"inner needs (B, d) and (n, d) operands, got"
                          f" {q.shape} and {table.shape}")
     check_out(out, (q.shape[0], table.shape[0]), "inner")
-    y = np.matmul(q.data, table.data.T, out=out)
-    result = Tensor(y, q.requires_grad or table.requires_grad)
-    _record(result, (q, table),
-            lambda g: (g @ table.data, (q.data.T @ g).T))
-    return result
+    return node(np.matmul(q.data, table.data.T, out=out), (q, table),
+                lambda g: (g @ table.data, (q.data.T @ g).T))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -588,8 +555,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     normed = np.divide(centered, std, out=centered)
     y = normed * gamma.data
     y += beta.data
-    out = Tensor(y, x.requires_grad or gamma.requires_grad
-                 or beta.requires_grad)
 
     def backward_fn(g):
         gn = g * gamma.data
@@ -599,8 +564,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         return (gx, _unbroadcast(g * normed, gamma.shape),
                 _unbroadcast(g, beta.shape))
 
-    _record(out, (x, gamma, beta), backward_fn)
-    return out
+    return node(y, (x, gamma, beta), backward_fn)
 
 
 def gelu(x) -> Tensor:
@@ -610,7 +574,6 @@ def gelu(x) -> Tensor:
     """
     x = as_tensor(x)
     two_cdf = 1.0 + _np_erf(x.data * _INV_SQRT2)
-    out = Tensor(x.data * 0.5 * two_cdf, x.requires_grad)
 
     def backward_fn(g):
         slope = np.exp(x.data * x.data * -0.5)
@@ -619,8 +582,7 @@ def gelu(x) -> Tensor:
         slope *= g
         return (slope,)
 
-    _record(out, (x,), backward_fn)
-    return out
+    return node(x.data * 0.5 * two_cdf, (x,), backward_fn)
 
 
 def norm(x, floor_sq: float, keepdims: bool = True) -> Tensor:
@@ -630,9 +592,8 @@ def norm(x, floor_sq: float, keepdims: bool = True) -> Tensor:
     """
     x = as_tensor(x)
     n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + floor_sq)
-    out = Tensor(n if keepdims else n[..., 0], x.requires_grad)
-    _record(out, (x,), lambda g: (x.data * (g.reshape(n.shape) / n),))
-    return out
+    return node(n if keepdims else n[..., 0], (x,),
+                lambda g: (x.data * (g.reshape(n.shape) / n),))
 
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {

@@ -836,7 +836,7 @@ class TestSmoothedCE:
             with T.Tape() as tape:
                 # Recorded as made on the tape, the logits are no leaf, so
                 # the backward copies their gradient nowhere.
-                T._record(logits, (), lambda g: ())
+                tape.record(logits, (), lambda g: ())
                 loss = smoothed_ce_loss(logits, targets, 0.1, out=buf)
             tape.backward(loss)
             _, peak = tracemalloc.get_traced_memory()

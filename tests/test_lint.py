@@ -1,0 +1,51 @@
+"""Source rules checked by parsing the package rather than running it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "catkg"
+
+
+def private_tensor_names(source: str, filename: str) -> list[str]:
+    """Every use of a private name of ``catkg.tensor`` in ``source``:
+    an attribute ``T._x`` on a name bound to the module, or an import
+    ``from .tensor import _x``. The tape protocol stays behind
+    ``tensor.py``; other modules build their outputs with ``T.node``."""
+    tree = ast.parse(source, filename)
+    aliases = {"T", "tensor"}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            aliases.update(a.asname or a.name for a in stmt.names
+                           if a.name.rsplit(".", 1)[-1] == "tensor")
+    found = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in aliases and n.attr.startswith("_")):
+            found.append(f"{filename}:{n.lineno}: {n.value.id}.{n.attr}")
+        elif (isinstance(n, ast.ImportFrom) and n.module
+              and n.module.rsplit(".", 1)[-1] == "tensor"):
+            found.extend(f"{filename}:{n.lineno}: import {a.name}"
+                         for a in n.names if a.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "tensor.py"),
+    ids=lambda p: p.name)
+def test_no_private_tensor_names_outside_tensor_py(path):
+    assert private_tensor_names(path.read_text(encoding="utf-8"),
+                                path.name) == []
+
+
+def test_the_lint_finds_each_form():
+    source = ("from . import tensor as tt\n"
+              "from .tensor import _active_tape, Tensor\n"
+              "T._record(out, (x,), fn)\n"
+              "tensor._unbroadcast(g, shape)\n"
+              "tt._tapes\n"
+              "T.node(data, (x,), fn)\n")
+    assert sorted(private_tensor_names(source, "m.py")) == [
+        "m.py:2: import _active_tape", "m.py:3: T._record",
+        "m.py:4: tensor._unbroadcast", "m.py:5: tt._tapes"]
