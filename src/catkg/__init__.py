@@ -15,9 +15,9 @@ from .attention import (CatBlock, EuclideanBranch, HyperbolicBranch, Router,
                         parameter_count)
 from .config import TrainConfig, load_config, parse_config, serialize_config
 from .errors import CatkgError
-from .kg import (KgModel, Metrics, TripleStore, compose, evaluate,
-                 filtered_rank, load_triples, routing_entropy,
-                 score_all_tails, smoothed_ce_loss, total_loss)
+from .kg import (KgModel, Metrics, TripleStore, evaluate, filtered_rank,
+                 load_triples, routing_entropy, score_all_tails,
+                 smoothed_ce_loss, total_loss)
 from .manifolds import (exp0, log0, mobius_add, mobius_scalar_mul,
                         poincare_distance, project_ball, sphere_exp_mu,
                         sphere_log_mu, sphere_project)
@@ -32,10 +32,10 @@ __all__ = [
     "AdamW", "CatBlock", "CatkgError", "EuclideanBranch", "HyperbolicBranch",
     "KgModel", "Metrics", "PlateauScheduler", "Router", "SingleGeometryBlock",
     "SphericalBranch", "Tape", "Tensor", "TrainConfig", "TrainResult",
-    "TripleStore", "anneal_lambda", "build_block", "compose", "evaluate",
-    "exp0", "export_routing", "filtered_rank", "grad_check",
-    "load_checkpoint", "load_config", "load_model", "load_triples", "log0",
-    "mobius_add", "mobius_scalar_mul", "parameter_count", "parse_config",
+    "TripleStore", "anneal_lambda", "build_block", "evaluate", "exp0",
+    "export_routing", "filtered_rank", "grad_check", "load_checkpoint",
+    "load_config", "load_model", "load_triples", "log0", "mobius_add",
+    "mobius_scalar_mul", "parameter_count", "parse_config",
     "poincare_distance", "project_ball", "routing_entropy", "save_checkpoint",
     "save_model", "score_all_tails", "serialize_config", "smoothed_ce_loss",
     "sphere_exp_mu", "sphere_log_mu", "sphere_project", "total_loss", "train",

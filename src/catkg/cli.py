@@ -32,7 +32,7 @@ from .attention import VARIANTS
 from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
                      serialize_config)
 from .errors import CatkgError, ConfigError, PathError
-from .kg import ROUTING_COLUMNS, KgModel, Metrics, evaluate, load_triples
+from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
 from .tensor import atomic_write
 from .trainer import export_routing, load_model, save_model, train
 
@@ -217,13 +217,11 @@ def _cmd_train(args) -> None:
 
     checkpoint = out_dir / "model.catw"
     save_model(checkpoint, result.model)
-    with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "config.txt", "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
 
     # The returned model is the best epoch's, whose validation is on record.
-    best = result.records[result.best_epoch - 1]
-    valid_metrics = Metrics(best.valid_mrr, best.valid_hits10,
-                            store.valid.shape[0])
+    valid_metrics = result.records[result.best_epoch - 1].valid
     t0 = time.perf_counter()
     test_metrics = evaluate(store, result.model, "test")
     t_eval = time.perf_counter() - t0
@@ -257,7 +255,7 @@ def _cmd_eval(args) -> None:
     lines = metrics.lines(args.split, cfg.seed)
     for line in lines:
         print(line)
-    with open(out_dir / "metrics.txt", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "metrics.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
     _write_manifest(
@@ -313,7 +311,7 @@ def _cmd_bench(args) -> None:
 
     text = "\n".join(report)
     print(text)
-    with open(out_dir / "bench.txt", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "bench.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
     _write_manifest(

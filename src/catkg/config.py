@@ -174,7 +174,8 @@ def validate(cfg: TrainConfig) -> TrainConfig:
         value = getattr(cfg, f.name)
         if f.type in _KINDS:
             kind, _, noun = _KINDS[f.type]
-            _require(isinstance(value, kind),
+            # bool is an Integral, but True is no epoch count or rate.
+            _require(isinstance(value, kind) and not isinstance(value, bool),
                      f"{key}: expected {noun}, got {value!r}")
         if f.type == "float":
             _require(math.isfinite(value), f"{key} must be finite, got {value}")

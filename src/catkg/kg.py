@@ -226,18 +226,6 @@ def load_triples(train_path, valid_path, test_path) -> TripleStore:
 # Model
 # ---------------------------------------------------------------------------
 
-def compose(h_vec: Tensor, r_vec: Tensor, p: float, training: bool,
-            rng=None) -> Tensor:
-    """Composite query representation: dropout(h + r).
-
-    In eval mode this is exactly the elementwise sum.
-    """
-    if h_vec.shape != r_vec.shape:
-        raise ShapeError(
-            f"entity/relation dims disagree: {h_vec.shape} vs {r_vec.shape}")
-    return T.dropout(h_vec + r_vec, p, training=training, rng=rng)
-
-
 class KgModel(Module):
     """Embeddings + one attention block + dot-product scoring head."""
 
@@ -265,29 +253,27 @@ class KgModel(Module):
               training: bool = False, rng=None):
         """Query vectors for a batch of (h, r) pairs, before the head.
 
+        ``heads`` and ``relations`` are 1-D and of one length B (a scalar
+        counts as B = 1); anything else raises :class:`ShapeError`.
         Returns ``(query, alpha)`` with query (B, d) and alpha (B, 1, 3)
         routing weights (None for fixed-geometry variants).
         """
         heads = np.atleast_1d(T.index_array(heads, "head"))
         relations = np.atleast_1d(T.index_array(relations, "relation"))
-        if relations.size and (relations.min() < 0
-                               or relations.max() >= self.relation_emb.shape[0]):
-            raise IndexLookupError(
-                f"relation index out of bounds for vocabulary of "
-                f"{self.relation_emb.shape[0]}")
-        h = T.embedding(self.entity_emb, heads)
-        r = T.embedding(self.relation_emb, relations)
-        p, sites = self.dropout_p, self.dropout_sites
-        if training:
-            if "entity" in sites:
-                h = T.dropout(h, p, training=True, rng=rng)
-            if "relation" in sites:
-                r = T.dropout(r, p, training=True, rng=rng)
-        x = compose(h, r, p if "composite" in sites else 0.0, training, rng)
-        batch = x.shape[0]
-        tokens = x.reshape(batch, 1, x.shape[-1])
-        y, alpha = self.block.forward(tokens)
-        return y.reshape(batch, y.shape[-1]), alpha
+        if heads.ndim != 1 or heads.shape != relations.shape:
+            raise ShapeError(f"heads and relations must be 1-D and of one "
+                             f"length, got {heads.shape}, {relations.shape}")
+        sites = self.dropout_sites if training else ()
+
+        def drop(x: Tensor, site: str) -> Tensor:
+            return T.dropout(x, self.dropout_p, rng=rng) if site in sites else x
+
+        # Drop(h + r), drawing from rng in site order.
+        h = drop(T.embedding(self.entity_emb, heads), "entity")
+        r = drop(T.embedding(self.relation_emb, relations), "relation")
+        x = drop(h + r, "composite")
+        y, alpha = self.block.forward(x.reshape(x.shape[0], 1, x.shape[-1]))
+        return y.reshape(x.shape[0], y.shape[-1]), alpha
 
     def score(self, heads: np.ndarray, relations: np.ndarray,
               training: bool = False, rng=None, out: np.ndarray | None = None):
@@ -474,13 +460,15 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
 
     Runs in eval mode, ``batch_size`` queries per forward.
     """
+    if batch_size < 1:
+        raise ConfigError(
+            f"evaluation batch_size must be >= 1, got {batch_size}")
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise ConfigError(f"cannot evaluate an empty {split!r} split")
     recip_sum = 0.0
     hits = 0
     alpha_sum = np.zeros(3)
-    alpha_seen = False
     index = store.filter_index
     buf = np.empty((min(batch_size, triples.shape[0]), store.n_entities))
     for start in range(0, triples.shape[0], batch_size):
@@ -491,7 +479,6 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
         scores = logits.data
         if alpha is not None:
             alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)
-            alpha_seen = True
         for row, (h, r, t), first, end in zip(scores, batch.tolist(),
                                               lo.tolist(), hi.tolist()):
             # Checked row by row, while the row is in cache.
@@ -502,7 +489,8 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
             recip_sum += 1.0 / rank
             hits += rank <= 10
     n = int(triples.shape[0])
-    mean_alpha = (tuple(float(a) for a in alpha_sum / n) if alpha_seen
-                  else None)
+    # A model routes every batch or none, so the last batch tells.
+    mean_alpha = (None if alpha is None
+                  else tuple(float(a) for a in alpha_sum / n))
     return Metrics(mrr=recip_sum / n, hits_at_10=hits / n, n_evaluated=n,
                    mean_alpha=mean_alpha)

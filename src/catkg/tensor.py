@@ -741,7 +741,8 @@ def load_checkpoint(path) -> dict[str, Array]:
     """Read a CATW checkpoint back into a name -> float64 array dict.
 
     Every declared length is checked against the bytes left in the file
-    before it is read, so a corrupt header ends in :class:`ParseError`.
+    before it is read, so a corrupt header ends in :class:`ParseError`,
+    as do a repeated tensor name and bytes after the last tensor.
     A tensor holding a NaN or an infinity raises :class:`NumericsError`.
     """
     out: dict[str, Array] = {}
@@ -751,8 +752,8 @@ def load_checkpoint(path) -> dict[str, Array]:
         def read(n, what):
             left = size - fh.tell()
             if n > left:
-                raise ParseError(f"checkpoint truncated while reading {what}:"
-                                 f" {n} bytes declared, {left} left")
+                raise ParseError(f"{path}: checkpoint truncated while reading"
+                                 f" {what}: {n} bytes declared, {left} left")
             return fh.read(n)
 
         if read(4, "magic") != CHECKPOINT_MAGIC:
@@ -767,6 +768,8 @@ def load_checkpoint(path) -> dict[str, Array]:
                 name = raw_name.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: tensor name is not UTF-8") from exc
+            if name in out:
+                raise ParseError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", read(4, "rank"))
             extents = struct.unpack(f"<{rank}Q", read(8 * rank, "extents"))
             raw = read(8 * math.prod(extents), f"values of {name!r}")
@@ -779,4 +782,7 @@ def load_checkpoint(path) -> dict[str, Array]:
                 raise NumericsError(
                     f"{path}: tensor {name!r} holds non-finite values")
             out[name] = values.copy()
+        if fh.tell() != size:
+            raise ParseError(f"{path}: {size - fh.tell()} bytes after the"
+                             f" last of {count} tensors")
     return out

@@ -18,7 +18,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .errors import (ConfigError, IncompatibilityError, NumericsError,
                      UnsupportedVariantError)
-from .kg import (ROUTING_COLUMNS, KgModel, TripleStore, evaluate,
+from .kg import (ROUTING_COLUMNS, KgModel, Metrics, TripleStore, evaluate,
                  routing_entropy, smoothed_ce_loss, total_loss)
 from .tensor import Tensor
 
@@ -164,23 +164,21 @@ def anneal_lambda(lam: float, decay: float = 0.95,
 class EpochRecord:
     epoch: int
     train_loss: float
-    valid_mrr: float
-    valid_hits10: float
+    valid: Metrics
     lr: float
     lambda_ent: float
-    mean_alpha: tuple[float, float, float] | None
 
     def line(self) -> str:
         """One log line; floats use repr so equality means bit equality."""
         parts = [f"epoch={self.epoch}",
                  f"train_loss={self.train_loss!r}",
-                 f"valid_mrr={self.valid_mrr!r}",
-                 f"valid_hits10={self.valid_hits10!r}",
+                 f"valid_mrr={self.valid.mrr!r}",
+                 f"valid_hits10={self.valid.hits_at_10!r}",
                  f"lr={self.lr!r}",
                  f"lambda={self.lambda_ent!r}"]
-        if self.mean_alpha is not None:
-            for key, value in zip(ROUTING_COLUMNS, self.mean_alpha):
-                parts.append(f"{key}={value!r}")
+        if self.valid.mean_alpha is not None:
+            parts += (f"{key}={value!r}" for key, value
+                      in zip(ROUTING_COLUMNS, self.valid.mean_alpha))
         return " ".join(parts)
 
 
@@ -192,7 +190,7 @@ class TrainResult:
 
     @property
     def best_valid_mrr(self) -> float:
-        return self.records[self.best_epoch - 1].valid_mrr
+        return self.records[self.best_epoch - 1].valid.mrr
 
     def log_text(self) -> str:
         return "\n".join(r.line() for r in self.records) + "\n"
@@ -267,15 +265,8 @@ def train(store: TripleStore, cfg: TrainConfig,
         except NumericsError as exc:
             raise NumericsError(
                 f"{exc} at epoch {epoch} (validation)") from exc
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / n_train,
-            valid_mrr=valid_metrics.mrr,
-            valid_hits10=valid_metrics.hits_at_10,
-            lr=opt.lr,
-            lambda_ent=lam,
-            mean_alpha=valid_metrics.mean_alpha,
-        )
+        record = EpochRecord(epoch, loss_sum / n_train, valid_metrics, opt.lr,
+                             lam)
         records.append(record)
         if log_stream is not None:
             log_stream.write(record.line() + "\n")
@@ -342,7 +333,7 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with T.atomic_write(out_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(("head", "relation") + ROUTING_COLUMNS) + "\n")
         for start in range(0, triples.shape[0], 1024):
             batch = triples[start:start + 1024]

@@ -246,6 +246,14 @@ UNRULED_BAD = [("model.heads", "3"), ("model.activation", "relu"),
                ("train.dropout_sites", "entity,entity")]
 
 
+# True and False are no count or rate, though bool is an Integral.
+BOOL_IS_NO_NUMBER = [
+    (f.name, value, f"{f.metadata['section']}.{f.name}: expected "
+     f"{'an integer' if f.type == 'int' else 'a number'}, got {value}")
+    for f in dataclasses.fields(TrainConfig) if f.type in ("int", "float")
+    for value in (True, False)]
+
+
 def _typed(key, raw):
     """``raw`` converted as parse_config converts the key's value."""
     kind = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -283,6 +291,8 @@ class TestConfigRules:
     def test_replace_checks_the_copy(self):
         assert (_message(lambda: dataclasses.replace(TrainConfig(), lr=0.0))
                 == "train.lr must be positive, got 0.0")
+        assert (_message(lambda: dataclasses.replace(TrainConfig(), lr=True))
+                == "train.lr: expected a number, got True")
 
     @pytest.mark.parametrize("name,value,message", [
         ("d", "8", "model.d: expected an integer, got '8'"),
@@ -291,7 +301,7 @@ class TestConfigRules:
         ("dropout", None, "train.dropout: expected a number, got None"),
         ("activation", ["gelu"],
          "unknown activation ['gelu']; choose from ['gelu', 'tanh']"),
-    ])
+    ] + BOOL_IS_NO_NUMBER)
     def test_wrong_type_is_invalid_config(self, name, value, message):
         assert _message(lambda: TrainConfig(**{name: value})) == message
 

@@ -5,6 +5,7 @@ are checked against hand-evaluated closed forms (uniform logits give
 exactly ln n for any smoothing level, since the target row sums to 1).
 """
 
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -21,7 +22,7 @@ from catkg import tensor as T
 from catkg.config import TrainConfig
 from catkg.errors import (ConfigError, IncompatibilityError, IndexLookupError,
                           NumericsError, ParseError, PathError, ShapeError)
-from catkg.kg import (LN3, FilterIndex, KgModel, Metrics, compose, evaluate,
+from catkg.kg import (LN3, FilterIndex, KgModel, Metrics, evaluate,
                       filtered_rank, load_triples, routing_entropy,
                       score_all_tails, smoothed_ce_loss, total_loss)
 from catkg.tensor import Tensor, grad_check
@@ -358,30 +359,112 @@ class TestFilterIndex:
 
 
 class TestCompose:
+    """The composition step of ``KgModel.query``: Drop(h + r)."""
+
+    @staticmethod
+    def model(dropout, sites="entity,relation,composite"):
+        cfg = TrainConfig(d=16, heads=2, seed=4, dropout=dropout,
+                          dropout_sites=sites)
+        model = KgModel(6, 3, cfg)
+        model.block = _IdentityBlock()
+        return model
+
     def test_eval_mode_is_exact_sum(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.normal(size=(4, 8)))
-        r = Tensor(rng.normal(size=(4, 8)))
-        out = compose(h, r, p=0.9, training=False)
-        assert np.array_equal(out.data, h.data + r.data)
+        model = self.model(0.9)
+        heads, rels = np.array([0, 5, 2, 2]), np.array([1, 0, 2, 1])
+        query, _ = model.query(heads, rels, training=False,
+                               rng=np.random.default_rng(0))
+        assert np.array_equal(query.data, model.entity_emb.data[heads]
+                              + model.relation_emb.data[rels])
 
     def test_shape_mismatch_rejected(self):
+        model = self.model(0.0)
         with pytest.raises(ShapeError):
-            compose(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 6))),
-                    p=0.0, training=True)
+            model.query(np.array([0, 1]), np.array([0, 1, 2]), training=True)
 
     def test_training_dropout_is_unbiased(self):
+        model = self.model(0.4, "composite")
+        model.entity_emb.data[...] = 2.0
+        model.relation_emb.data[...] = 1.0
         rng = np.random.default_rng(1)
-        h = Tensor(np.full((1, 16), 2.0))
-        r = Tensor(np.full((1, 16), 1.0))
         total = np.zeros((1, 16))
         reps = 4000
         for _ in range(reps):
-            total += compose(h, r, p=0.4, training=True, rng=rng).data
+            query, _ = model.query(np.array([0]), np.array([0]),
+                                   training=True, rng=rng)
+            total += query.data
         mean = total / reps
         # pooled estimate is ~6 sigma tight; per-element stays loose
         assert_allclose(mean.mean(), 3.0, rtol=0.01)
         assert_allclose(mean, 3.0, rtol=0.15)
+
+
+# Every subset of the dropout sites, as the config spells it.
+SITE_SUBSETS = [",".join(subset) for k in range(4) for subset in
+                itertools.combinations(("entity", "relation", "composite"), k)]
+
+
+class TestQueryDropoutSites:
+    """``query`` drops entity, relation, then composite, from one rng."""
+
+    P = 0.3
+    HEADS = np.array([0, 5, 9, 5, 11])
+    RELS = np.array([1, 3, 0, 1, 2])
+
+    def model(self, sites):
+        return KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3, dropout=self.P,
+                                          dropout_sites=sites))
+
+    def reference(self, model, sites, rng):
+        """The query written out from T.embedding and T.dropout."""
+        h = T.embedding(model.entity_emb, self.HEADS)
+        r = T.embedding(model.relation_emb, self.RELS)
+        if "entity" in sites:
+            h = T.dropout(h, self.P, training=True, rng=rng)
+        if "relation" in sites:
+            r = T.dropout(r, self.P, training=True, rng=rng)
+        x = h + r
+        if "composite" in sites:
+            x = T.dropout(x, self.P, training=True, rng=rng)
+        y, alpha = model.block.forward(x.reshape(5, 1, 8))
+        return y.reshape(5, 8), alpha
+
+    @pytest.mark.parametrize("sites", SITE_SUBSETS)
+    def test_training_matches_the_written_out_query(self, sites):
+        model = self.model(sites)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        query, alpha = model.query(self.HEADS, self.RELS, training=True,
+                                   rng=rng)
+        want, want_alpha = self.reference(model, sites.split(","), ref_rng)
+        assert np.array_equal(query.data, want.data)
+        assert np.array_equal(alpha.data, want_alpha.data)
+        assert rng.random() == ref_rng.random()  # as many draws
+        plain, _ = self.reference(model, (), None)
+        assert np.array_equal(query.data, plain.data) == (sites == "")
+
+    @pytest.mark.parametrize("sites", SITE_SUBSETS)
+    def test_eval_mode_draws_nothing(self, sites):
+        model = self.model(sites)
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        query, _ = model.query(self.HEADS, self.RELS, training=False, rng=rng)
+        assert rng.bit_generator.state == state
+        want, _ = self.reference(model, (), None)
+        assert np.array_equal(query.data, want.data)
+
+    @pytest.mark.parametrize("heads,rels", [
+        ([[0, 1]], [[0, 1]]),          # 2-D pair of one shape
+        ([[0], [1]], [0, 1]),          # 2-D heads
+        ([0, 1], 1),                   # a scalar is a batch of one
+        ([0, 1, 2], [0, 1]),
+    ])
+    def test_index_pair_must_be_1d_of_one_length(self, heads, rels):
+        model = self.model("")
+        with pytest.raises(ShapeError, match="1-D and of one length"):
+            model.query(np.array(heads), np.array(rels))
+        with pytest.raises(ShapeError, match="1-D and of one length"):
+            model.score(np.array(heads), np.array(rels), training=True,
+                        rng=np.random.default_rng(0))
 
 
 class _IdentityBlock:
@@ -455,6 +538,14 @@ class TestModelScoring:
             model.score(np.array([0]), np.array([3]))
         with pytest.raises(IndexLookupError):
             model.score(np.array([10]), np.array([0]))
+
+    def test_each_bound_names_its_table_head_first(self):
+        model = KgModel(10, 3, self.cfg)
+        for heads, rels, rows in (([0], [-1], 3), ([10], [0], 10),
+                                  ([10], [3], 10)):
+            with pytest.raises(IndexLookupError,
+                               match=f"table with {rows} rows"):
+                model.score(np.array(heads), np.array(rels))
 
     def test_eval_scoring_is_deterministic(self):
         model = KgModel(10, 3, self.cfg)
@@ -1011,6 +1102,13 @@ class TestEvaluate:
     def test_unknown_split_rejected(self, toy_store):
         with pytest.raises(ConfigError):
             evaluate(toy_store, None, "dev")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, toy_store, batch_size):
+        model = KgModel(toy_store.n_entities, toy_store.n_relations,
+                        TrainConfig(d=8, heads=2, seed=1))
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            evaluate(toy_store, model, "test", batch_size=batch_size)
 
     def test_mean_alpha_for_mixture(self, toy_store):
         cfg = TrainConfig(d=8, heads=2, seed=1)

@@ -1,9 +1,11 @@
-"""Source rules checked by parsing the package rather than running it."""
+"""Source rules, checked by parsing the package more than by running it."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import catkg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catkg"
 
@@ -49,3 +51,36 @@ def test_the_lint_finds_each_form():
     assert sorted(private_tensor_names(source, "m.py")) == [
         "m.py:2: import _active_tape", "m.py:3: T._record",
         "m.py:4: tensor._unbroadcast", "m.py:5: tt._tapes"]
+
+
+def imported_public_names(source: str, filename: str) -> set[str]:
+    """The public names that the module-level imports of ``source`` bind."""
+    names = set()
+    for stmt in ast.parse(source, filename).body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            names.update(a.asname or a.name for a in stmt.names)
+        elif isinstance(stmt, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_all_is_exactly_what_the_package_imports():
+    imported = imported_public_names(
+        (SRC / "__init__.py").read_text(encoding="utf-8"), "__init__.py")
+    assert len(set(catkg.__all__)) == len(catkg.__all__)
+    assert set(catkg.__all__) == imported
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in catkg.__all__ if not hasattr(catkg, n)] == []
+
+
+def test_the_export_lint_reads_each_import_form():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .kg import (KgModel, evaluate as ev, _private)\n"
+              "if True:\n"
+              "    from .kg import nested\n")
+    assert imported_public_names(source, "m.py") == {
+        "np", "os", "KgModel", "ev"}

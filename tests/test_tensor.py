@@ -519,7 +519,24 @@ class TestCheckpointFormat:
         path = tmp_path / "trunc.catw"
         T.save_checkpoint(path, {"w": np.ones((4, 4))})
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"trunc\.catw: .*truncated"):
+            T.load_checkpoint(path)
+
+    def test_repeated_name_is_rejected(self, tmp_path):
+        path = tmp_path / "twice.catw"
+        T.save_checkpoint(path, {"w": np.ones(2)})
+        record = path.read_bytes()[12:]
+        path.write_bytes(b"CATW" + struct.pack("<II", 1, 2) + record + record)
+        with pytest.raises(ParseError, match=r"twice\.catw: .*'w' appears"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", bytes(8), b"CATW"])
+    def test_bytes_after_the_last_tensor_are_rejected(self, tmp_path, extra):
+        path = tmp_path / "tail.catw"
+        T.save_checkpoint(path, {"w": np.ones(2), "b": np.zeros(3)})
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ParseError,
+                           match=rf"tail\.catw: {len(extra)} bytes after"):
             T.load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [

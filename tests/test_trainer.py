@@ -20,7 +20,7 @@ from catkg import trainer as trainer_mod
 from catkg.config import TrainConfig
 from catkg.errors import (ConfigError, IncompatibilityError, NumericsError,
                           UnsupportedVariantError)
-from catkg.kg import KgModel, evaluate, routing_entropy, total_loss
+from catkg.kg import KgModel, Metrics, evaluate, routing_entropy, total_loss
 from catkg.tensor import Tape, Tensor
 from catkg.trainer import (AdamW, EpochRecord, PlateauScheduler,
                            anneal_lambda, clip_gradients, export_routing,
@@ -345,19 +345,18 @@ class TestAnnealLambda:
 
 class TestEpochRecordFormat:
     def test_line_uses_reprs_and_optional_alpha(self):
-        rec = EpochRecord(epoch=3, train_loss=1.5, valid_mrr=0.25,
-                          valid_hits10=0.5, lr=0.001, lambda_ent=0.0095,
-                          mean_alpha=(0.2, 0.3, 0.5))
-        line = rec.line()
-        assert line.startswith("epoch=3 train_loss=1.5 valid_mrr=0.25 ")
-        assert "lr=0.001" in line and "lambda=0.0095" in line
-        assert line.endswith("alpha_e=0.2 alpha_h=0.3 alpha_s=0.5")
+        rec = EpochRecord(epoch=3, train_loss=1.5,
+                          valid=Metrics(0.25, 0.5, 40, (0.2, 0.3, 0.5)),
+                          lr=0.001, lambda_ent=0.0095)
+        assert rec.line() == ("epoch=3 train_loss=1.5 valid_mrr=0.25"
+                              " valid_hits10=0.5 lr=0.001 lambda=0.0095"
+                              " alpha_e=0.2 alpha_h=0.3 alpha_s=0.5")
 
     def test_alpha_fields_absent_for_fixed_variants(self):
-        rec = EpochRecord(epoch=1, train_loss=1.0, valid_mrr=0.1,
-                          valid_hits10=0.2, lr=0.01, lambda_ent=0.0,
-                          mean_alpha=None)
-        assert "alpha" not in rec.line()
+        rec = EpochRecord(epoch=1, train_loss=1.0, valid=Metrics(0.1, 0.2, 40),
+                          lr=0.01, lambda_ent=0.0)
+        assert rec.line() == ("epoch=1 train_loss=1.0 valid_mrr=0.1"
+                              " valid_hits10=0.2 lr=0.01 lambda=0.0")
 
 
 class TestTrainLoop:
@@ -370,9 +369,11 @@ class TestTrainLoop:
         result = train(store, cfg)
         assert [r.epoch for r in result.records] == list(range(1, 7))
         assert result.records[0].lr == cfg.lr
-        assert result.best_valid_mrr == max(r.valid_mrr for r in result.records)
-        assert (result.records[result.best_epoch - 1].valid_mrr
+        assert result.best_valid_mrr == max(r.valid.mrr for r in result.records)
+        assert (result.records[result.best_epoch - 1].valid.mrr
                 == result.best_valid_mrr)
+        assert all(r.valid.n_evaluated == store.valid.shape[0]
+                   for r in result.records)
 
     def test_lambda_column_follows_the_annealing_recurrence(self, store):
         cfg = small_cfg(epochs=10)
@@ -385,18 +386,20 @@ class TestTrainLoop:
     def test_fixed_variant_pins_lambda_to_zero(self, store):
         result = train(store, small_cfg(variant="euclidean", epochs=3))
         assert all(r.lambda_ent == 0.0 for r in result.records)
-        assert all(r.mean_alpha is None for r in result.records)
+        assert all(r.valid.mean_alpha is None for r in result.records)
 
     def test_mixture_records_alpha_means(self, store):
         result = train(store, small_cfg(epochs=3))
         for rec in result.records:
-            assert len(rec.mean_alpha) == 3
-            assert abs(sum(rec.mean_alpha) - 1.0) < 1e-12
+            assert len(rec.valid.mean_alpha) == 3
+            assert abs(sum(rec.valid.mean_alpha) - 1.0) < 1e-12
 
     def test_best_epoch_parameters_are_restored(self, store):
         result = train(store, small_cfg(epochs=12))
         metrics = evaluate(store, result.model, "valid")
-        assert metrics.mrr == result.records[result.best_epoch - 1].valid_mrr
+        assert metrics == result.records[result.best_epoch - 1].valid
+        assert (metrics.mean_alpha
+                == result.records[result.best_epoch - 1].valid.mean_alpha)
 
     def test_two_runs_produce_bit_identical_logs(self, store):
         cfg = small_cfg(epochs=6, dropout=0.2)
@@ -615,6 +618,30 @@ class TestExportRouting:
         export_routing(model, big, "test", tmp_path / "r.tsv")
         assert batches == [1024, 76]
 
+    def test_failed_export_leaves_the_previous_file(self, tmp_path,
+                                                    monkeypatch):
+        big = build_toy_store(n_entities=40, n_relations=2, n_train=10,
+                              n_test=1100)
+        model = KgModel(big.n_entities, big.n_relations, small_cfg())
+        out = tmp_path / "routing.tsv"
+        export_routing(model, big, "test", out)
+        before = out.read_bytes()
+        calls = []
+        query = KgModel.query
+
+        def second_batch_fails(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # after 1,024 rows went to the file
+                raise RuntimeError("killed mid-write")
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(KgModel, "query", second_batch_fails)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            export_routing(model, big, "test", out)
+        assert len(calls) == 2
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["routing.tsv"]
+
     def test_means_match_best_epoch_record_exactly(self, store, tmp_path):
         # Two bookkeeping paths to the same number: the per-epoch record of
         # the best epoch (written during training) and a fresh export from
@@ -623,4 +650,4 @@ class TestExportRouting:
         means = export_routing(result.model, store, "valid",
                                tmp_path / "r.tsv")
         assert tuple(float(m) for m in means) == \
-            result.records[result.best_epoch - 1].mean_alpha
+            result.records[result.best_epoch - 1].valid.mean_alpha
