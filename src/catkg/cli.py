@@ -31,7 +31,7 @@ from . import trainer as trainer_mod
 from .attention import VARIANTS
 from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
                      serialize_config)
-from .errors import CatkgError, ConfigError, PathError
+from .errors import CatkgError, PathError
 from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
 from .tensor import atomic_write
 from .trainer import export_routing, load_model, save_model, train
@@ -206,8 +206,7 @@ def _cmd_train(args) -> None:
     t_load = time.perf_counter() - t0
     # Checked before epochs.log is opened, so a refused run leaves no file.
     for split in kg_mod.SPLITS:
-        if store.split(split).shape[0] == 0:
-            raise ConfigError(f"cannot train with an empty {split!r} split")
+        store.nonempty(split, "train with")
 
     log_path = out_dir / "epochs.log"
     t0 = time.perf_counter()

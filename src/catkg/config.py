@@ -40,9 +40,10 @@ _RULES = {
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
-# A numeric field type: the values it admits, its parser, its error noun.
+# A field type: the values it admits, its parser, its error noun.
 _KINDS = {"int": (numbers.Integral, int, "an integer"),
-          "float": (numbers.Real, float, "a number")}
+          "float": (numbers.Real, float, "a number"),
+          "str": (str, str, "a string")}
 
 
 def _in(section: str, default, rule: str | tuple | None = None):
@@ -99,8 +100,6 @@ KEY_MAP: dict[str, str] = {key: f.name for key, f in _FIELDS.items()}
 
 
 def _convert(key: str, raw: str):
-    if _FIELDS[key].type not in _KINDS:
-        return raw
     _, parse, noun = _KINDS[_FIELDS[key].type]
     try:
         return parse(raw)
@@ -172,11 +171,10 @@ def validate(cfg: TrainConfig) -> TrainConfig:
     types and finiteness first, then each field's rule, then the rest."""
     for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
-        if f.type in _KINDS:
-            kind, _, noun = _KINDS[f.type]
-            # bool is an Integral, but True is no epoch count or rate.
-            _require(isinstance(value, kind) and not isinstance(value, bool),
-                     f"{key}: expected {noun}, got {value!r}")
+        kind, _, noun = _KINDS[f.type]
+        # bool is an Integral, but True is no epoch count or rate.
+        _require(isinstance(value, kind) and not isinstance(value, bool),
+                 f"{key}: expected {noun}, got {value!r}")
         if f.type == "float":
             _require(math.isfinite(value), f"{key} must be finite, got {value}")
     for key, f in _FIELDS.items():

@@ -30,6 +30,11 @@ CE_BLOCK_ELEMENTS = 3 * 2 ** 15
 
 SPLITS = ("train", "valid", "test")
 
+# Queries per forward pass of every eval-mode walk of a split. Alpha is
+# summed batch by batch, so evaluate and export_routing agree bitwise on
+# its means because both slice by this one size.
+EVAL_BATCH = 1024
+
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
     """An ascending array of non-negative ints without its repeats.
@@ -123,6 +128,14 @@ class TripleStore:
         if name not in SPLITS:
             raise ConfigError(f"unknown split {name!r}; choose from {SPLITS}")
         return getattr(self, name)
+
+    def nonempty(self, split: str, doing: str) -> np.ndarray:
+        """The rows of ``split``; :class:`ConfigError` ``cannot <doing> an
+        empty '<split>' split`` if it has none."""
+        triples = self.split(split)
+        if triples.shape[0] == 0:
+            raise ConfigError(f"cannot {doing} an empty {split!r} split")
+        return triples
 
     def known_tails(self, h: int, r: int) -> np.ndarray:
         return self.filter_index.known_tails(h, r)
@@ -417,11 +430,8 @@ class Metrics:
     hits_at_10: float
     n_evaluated: int
     # Per-geometry routing average over the evaluated tokens; None for
-    # fixed-geometry variants, which do not route. Summed batch by batch,
-    # so its last bits depend on the batch size: == compares the ranking
-    # metrics only.
-    mean_alpha: tuple[float, float, float] | None = field(default=None,
-                                                          compare=False)
+    # fixed-geometry variants, which do not route.
+    mean_alpha: tuple[float, float, float] | None = None
 
     def lines(self, split: str, seed: int) -> list[str]:
         """Key-value text form, one metric per line."""
@@ -454,25 +464,19 @@ def filtered_rank(scores: np.ndarray, t: int, known_tails) -> int:
                + (at < known.size and known[at] == t))
 
 
-def evaluate(store: TripleStore, model: KgModel, split: str,
-             batch_size: int = 1024) -> Metrics:
+def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
     """Filtered MRR / Hits@10 and mean routing weights over a split.
 
-    Runs in eval mode, ``batch_size`` queries per forward.
+    Runs in eval mode, :data:`EVAL_BATCH` queries per forward.
     """
-    if batch_size < 1:
-        raise ConfigError(
-            f"evaluation batch_size must be >= 1, got {batch_size}")
-    triples = store.split(split)
-    if triples.shape[0] == 0:
-        raise ConfigError(f"cannot evaluate an empty {split!r} split")
+    triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0
     hits = 0
     alpha_sum = np.zeros(3)
     index = store.filter_index
-    buf = np.empty((min(batch_size, triples.shape[0]), store.n_entities))
-    for start in range(0, triples.shape[0], batch_size):
-        batch = triples[start:start + batch_size]
+    buf = np.empty((min(EVAL_BATCH, triples.shape[0]), store.n_entities))
+    for start in range(0, triples.shape[0], EVAL_BATCH):
+        batch = triples[start:start + EVAL_BATCH]
         lo, hi = index.spans(batch[:, 0], batch[:, 1])
         logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
                                     out=buf[:batch.shape[0]])

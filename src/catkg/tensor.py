@@ -433,8 +433,8 @@ def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by
     1/(1-p) so evaluation mode is the exact identity.
 
-    ``rng`` is an integer seed or a ``numpy.random.Generator``; a fresh
-    unseeded generator is used when omitted.
+    ``rng`` is an integer seed or a ``numpy.random.Generator``. A draw
+    without one raises :class:`ConfigError`: no run draws unseeded.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -442,8 +442,8 @@ def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
     if not training or p == 0.0:
         return a
     if rng is None:
-        rng = np.random.default_rng()
-    elif not isinstance(rng, np.random.Generator):
+        raise ConfigError("training-mode dropout needs a seed or a Generator")
+    if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     scale = (rng.random(a.shape) >= p) / (1.0 - p)
     return node(a.data * scale, (a,), lambda g: (g * scale,))

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .errors import (ConfigError, IncompatibilityError, NumericsError,
+from .errors import (IncompatibilityError, NumericsError,
                      UnsupportedVariantError)
-from .kg import (ROUTING_COLUMNS, KgModel, Metrics, TripleStore, evaluate,
-                 routing_entropy, smoothed_ce_loss, total_loss)
+from .kg import (EVAL_BATCH, ROUTING_COLUMNS, KgModel, Metrics, TripleStore,
+                 evaluate, routing_entropy, smoothed_ce_loss, total_loss)
 from .tensor import Tensor
 
 
@@ -208,8 +208,7 @@ def train(store: TripleStore, cfg: TrainConfig,
     train or valid split is rejected before the first step.
     """
     for split in ("train", "valid"):
-        if store.split(split).shape[0] == 0:
-            raise ConfigError(f"cannot train with an empty {split!r} split")
+        store.nonempty(split, "train with")
     model = KgModel(store.n_entities, store.n_relations, cfg)
     params = model.parameters()
     opt = AdamW(params, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2,
@@ -327,16 +326,14 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     if model.variant != "cat":
         raise UnsupportedVariantError(
             f"routing export needs the 'cat' variant, got {model.variant!r}")
-    triples = store.split(split)
-    if triples.shape[0] == 0:
-        raise ConfigError(f"cannot export routing of an empty {split!r} split")
+    triples = store.nonempty(split, "export routing of")
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)
     with T.atomic_write(out_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(("head", "relation") + ROUTING_COLUMNS) + "\n")
-        for start in range(0, triples.shape[0], 1024):
-            batch = triples[start:start + 1024]
+        for start in range(0, triples.shape[0], EVAL_BATCH):
+            batch = triples[start:start + EVAL_BATCH]
             _, alpha = model.query(batch[:, 0], batch[:, 1])
             weights = alpha.data.reshape(-1, 3)
             alpha_sum += weights.sum(axis=0)

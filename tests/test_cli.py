@@ -253,6 +253,15 @@ BOOL_IS_NO_NUMBER = [
     for f in dataclasses.fields(TrainConfig) if f.type in ("int", "float")
     for value in (True, False)]
 
+# A str field takes only a str: unchecked, 5 crashes in str.split, None
+# serializes as 'None', and a path of 0 reads (and closes) stdin.
+NOT_A_STRING = [
+    (f.name, value, f"{f.metadata['section']}.{f.name}: expected a string,"
+     f" got {value}")
+    for f in dataclasses.fields(TrainConfig) if f.type == "str"
+    for value in (5, None)] + [
+    ("train_path", 0, "data.train_path: expected a string, got 0")]
+
 
 def _typed(key, raw):
     """``raw`` converted as parse_config converts the key's value."""
@@ -300,8 +309,8 @@ class TestConfigRules:
         ("lr", "0.1", "train.lr: expected a number, got '0.1'"),
         ("dropout", None, "train.dropout: expected a number, got None"),
         ("activation", ["gelu"],
-         "unknown activation ['gelu']; choose from ['gelu', 'tanh']"),
-    ] + BOOL_IS_NO_NUMBER)
+         "model.activation: expected a string, got ['gelu']"),
+    ] + BOOL_IS_NO_NUMBER + NOT_A_STRING)
     def test_wrong_type_is_invalid_config(self, name, value, message):
         assert _message(lambda: TrainConfig(**{name: value})) == message
 

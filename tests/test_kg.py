@@ -377,6 +377,18 @@ class TestCompose:
         assert np.array_equal(query.data, model.entity_emb.data[heads]
                               + model.relation_emb.data[rels])
 
+    def test_training_dropout_needs_a_generator(self):
+        heads, rels = np.array([0, 5]), np.array([1, 0])
+        with pytest.raises(ConfigError, match="needs a seed or a Generator"):
+            self.model(0.3).query(heads, rels, training=True)
+        # Nothing to draw: dropout 0, no sites, or eval mode.
+        for model, training in ((self.model(0.0), True),
+                                (self.model(0.3, ""), True),
+                                (self.model(0.3), False)):
+            query, _ = model.query(heads, rels, training=training)
+            assert np.array_equal(query.data, model.entity_emb.data[heads]
+                                  + model.relation_emb.data[rels])
+
     def test_shape_mismatch_rejected(self):
         model = self.model(0.0)
         with pytest.raises(ShapeError):
@@ -1103,13 +1115,6 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(toy_store, None, "dev")
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, toy_store, batch_size):
-        model = KgModel(toy_store.n_entities, toy_store.n_relations,
-                        TrainConfig(d=8, heads=2, seed=1))
-        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
-            evaluate(toy_store, model, "test", batch_size=batch_size)
-
     def test_mean_alpha_for_mixture(self, toy_store):
         cfg = TrainConfig(d=8, heads=2, seed=1)
         model = KgModel(toy_store.n_entities, toy_store.n_relations, cfg)
@@ -1130,20 +1135,26 @@ class TestEvaluate:
         b = evaluate(toy_store, model, "valid")
         assert a == b
 
-    def test_batching_does_not_change_metrics(self, toy_store):
+    @staticmethod
+    def ranking(metrics):
+        """The fields that do not depend on the batch size: the last bits
+        of ``mean_alpha`` do."""
+        return metrics.mrr, metrics.hits_at_10, metrics.n_evaluated
+
+    def test_batching_does_not_change_metrics(self, toy_store, monkeypatch):
         cfg = TrainConfig(d=8, heads=2, seed=2)
         model = KgModel(toy_store.n_entities, toy_store.n_relations, cfg)
-        whole = evaluate(toy_store, model, "train", batch_size=1024)
-        tiny = evaluate(toy_store, model, "train", batch_size=7)
-        assert_allclose(whole.mrr, tiny.mrr, rtol=1e-12)
-        assert whole.hits_at_10 == tiny.hits_at_10
+        whole = evaluate(toy_store, model, "train")
+        monkeypatch.setattr(kg_mod, "EVAL_BATCH", 7)
+        tiny = evaluate(toy_store, model, "train")
+        assert self.ranking(tiny) == self.ranking(whole)
 
-    def test_batches_share_one_logits_buffer(self):
+    def test_batches_share_one_logits_buffer(self, monkeypatch):
         # Five triples in batches of two end in a one-row slice.
         store = build_toy_store(n_entities=12, n_train=20, n_test=5)
         model = KgModel(12, store.n_relations, TrainConfig(d=8, heads=2,
                                                            seed=2))
-        whole = evaluate(store, model, "test", batch_size=1024)
+        whole = evaluate(store, model, "test")
         seen = []
         score = model.score
 
@@ -1152,7 +1163,9 @@ class TestEvaluate:
             return score(heads, relations, training, rng, out)
 
         model.score = spy
-        assert evaluate(store, model, "test", batch_size=2) == whole
+        monkeypatch.setattr(kg_mod, "EVAL_BATCH", 2)
+        assert (self.ranking(evaluate(store, model, "test"))
+                == self.ranking(whole))
         assert [buf.shape for buf in seen] == [(2, 12), (2, 12), (1, 12)]
         assert all(np.shares_memory(buf, seen[0]) for buf in seen)
 

@@ -84,3 +84,50 @@ def test_the_export_lint_reads_each_import_form():
               "    from .kg import nested\n")
     assert imported_public_names(source, "m.py") == {
         "np", "os", "KgModel", "ev"}
+
+
+def unseeded_generators(source: str, filename: str) -> list[str]:
+    """Every call of ``default_rng`` with no argument (or a bare None) in
+    ``source``, through any module path or an aliased import. Such a
+    generator is seeded from the OS, so a run that draws from it cannot
+    be repeated."""
+    tree = ast.parse(source, filename)
+    aliases = {"default_rng"}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in stmt.names
+                           if a.name == "default_rng")
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Attribute):
+            called = n.func.attr == "default_rng"
+        else:
+            called = isinstance(n.func, ast.Name) and n.func.id in aliases
+        args = n.args + [k.value for k in n.keywords]
+        if called and all(isinstance(a, ast.Constant) and a.value is None
+                          for a in args):
+            found.append(f"{filename}:{n.lineno}: {ast.unparse(n)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unseeded_generator(path):
+    assert unseeded_generators(path.read_text(encoding="utf-8"),
+                               path.name) == []
+
+
+def test_the_rng_lint_finds_each_form():
+    source = ("import numpy as np\n"
+              "from numpy.random import default_rng as new_rng\n"
+              "np.random.default_rng()\n"
+              "np.random.default_rng(seed)\n"
+              "new_rng()\n"
+              "new_rng(0)\n"
+              "default_rng(seed=None)\n"
+              "np.random.default_rng([seed, 7])\n")
+    assert unseeded_generators(source, "m.py") == [
+        "m.py:3: np.random.default_rng()", "m.py:5: new_rng()",
+        "m.py:7: default_rng(seed=None)"]

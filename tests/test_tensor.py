@@ -95,6 +95,15 @@ class TestDropout:
         assert T.dropout(x, 0.0, training=True) is x
         assert T.dropout(x, 0.9, training=False) is x
 
+    def test_a_draw_needs_a_seed_or_a_generator(self):
+        x = Tensor(np.ones(8))
+        with pytest.raises(ConfigError, match="needs a seed or a Generator"):
+            T.dropout(x, 0.5, training=True)
+        seeded = T.dropout(x, 0.5, training=True, rng=9)
+        drawn = T.dropout(x, 0.5, training=True,
+                          rng=np.random.default_rng(9))
+        assert np.array_equal(seeded.data, drawn.data)
+
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
             T.dropout(Tensor(np.ones(3)), 1.0)

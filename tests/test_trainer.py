@@ -642,6 +642,34 @@ class TestExportRouting:
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["routing.tsv"]
 
+    def test_export_and_evaluate_walk_the_same_batches(self, tmp_path,
+                                                       monkeypatch):
+        # 1,100 rows: two batches, so a different batch size on either
+        # side would move the last bits of the means apart.
+        big = build_toy_store(n_entities=40, n_relations=2, n_train=10,
+                              n_test=1100)
+        model = KgModel(big.n_entities, big.n_relations, small_cfg())
+        calls = []
+        query, score = KgModel.query, KgModel.score
+
+        def query_spy(self, heads, relations, *args, **kwargs):
+            calls.append(("query", len(heads)))
+            return query(self, heads, relations, *args, **kwargs)
+
+        def score_spy(self, heads, relations, *args, **kwargs):
+            calls.append(("score", len(heads)))
+            return score(self, heads, relations, *args, **kwargs)
+
+        monkeypatch.setattr(KgModel, "query", query_spy)
+        monkeypatch.setattr(KgModel, "score", score_spy)
+        metrics = evaluate(big, model, "test")
+        assert calls == [("score", 1024), ("query", 1024),
+                         ("score", 76), ("query", 76)]
+        calls.clear()
+        means = export_routing(model, big, "test", tmp_path / "r.tsv")
+        assert calls == [("query", 1024), ("query", 76)]
+        assert tuple(float(m) for m in means) == metrics.mean_alpha
+
     def test_means_match_best_epoch_record_exactly(self, store, tmp_path):
         # Two bookkeeping paths to the same number: the per-epoch record of
         # the best epoch (written during training) and a fresh export from
