@@ -271,21 +271,18 @@ class CatBlock(Module):
 class SingleGeometryBlock(Module):
     """Adapter giving one branch the same interface as :class:`CatBlock`.
 
-    ``forward`` returns ``None`` in place of routing weights: fixed
-    variants have nothing to route.
+    The branch is stored under the variant's name, so its parameters are
+    named ``<variant>.*`` as in :class:`CatBlock`. ``forward`` returns
+    ``None`` in place of routing weights: fixed variants have nothing to
+    route.
     """
 
     def __init__(self, name: str, branch):
         self.name = name
-        self.branch = branch
+        setattr(self, name, branch)
 
     def forward(self, x: Tensor) -> tuple[Tensor, None]:
-        return self.branch(x), None
-
-    def parameters(self) -> dict[str, Tensor]:
-        # Named by the variant, not by the ``branch`` attribute.
-        return {f"{self.name}.{key}": p
-                for key, p in self.branch.parameters().items()}
+        return getattr(self, self.name)(x), None
 
 
 def build_block(variant: str, d: int, *, heads: int, ff_multiplier: int,

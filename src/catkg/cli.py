@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Four subcommands share the flags ``--config``, ``--seed``, ``--variant``
-and ``--out-dir``:
+Four subcommands share the flags ``--config``, ``--seed`` and ``--out-dir``;
+all but ``bench``, which times every variant, also take ``--variant``:
 
 * ``train``        — full training run: epoch log, best checkpoint, manifest.
 * ``eval``         — filtered MRR / Hits@10 of a checkpoint on one split.
@@ -17,6 +17,7 @@ identical run. Errors exit with status 1 and a single line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -29,8 +30,7 @@ from . import __version__
 from . import kg as kg_mod
 from . import trainer as trainer_mod
 from .attention import VARIANTS
-from .config import (TrainConfig, KEY_MAP, apply_overrides, load_config,
-                     serialize_config)
+from .config import TrainConfig, KEY_MAP, load_config, serialize_config
 from .errors import CatkgError, PathError
 from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
 from .tensor import atomic_write
@@ -61,12 +61,13 @@ def _at_least(low: int):
     return parse
 
 
-def _add_common(p: _Parser) -> None:
+def _add_common(p: _Parser, variant: bool = True) -> None:
     p.add_argument("--config", required=True, help="dotted-key config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override train.seed from the config")
-    p.add_argument("--variant", choices=VARIANTS, default=None,
-                   help="override model.variant from the config")
+    if variant:
+        p.add_argument("--variant", choices=VARIANTS, default=None,
+                       help="override model.variant from the config")
     p.add_argument("--out-dir", default=None,
                    help="run directory (default: runs/<command>)")
 
@@ -85,7 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", choices=kg_mod.SPLITS, default="test")
 
     p = sub.add_parser("bench", help="measure forward latency per variant")
-    _add_common(p)
+    _add_common(p, variant=False)
     p.add_argument("--batch-size", type=_at_least(1), default=512)
     p.add_argument("--warmup", type=_at_least(0), default=50)
     p.add_argument("--iters", type=_at_least(1), default=100)
@@ -120,7 +121,10 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_cfg(args) -> TrainConfig:
-    return apply_overrides(load_config(args.config), args.seed, args.variant)
+    """The config file with the ``--seed`` and ``--variant`` overrides."""
+    overrides = {key: value for key in ("seed", "variant")
+                 if (value := getattr(args, key, None)) is not None}
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def _out_dir(args) -> Path:
@@ -285,7 +289,7 @@ def _cmd_bench(args) -> None:
     stats: dict[str, dict] = {}
     for variant in VARIANTS:
         model = KgModel(n_entities, n_relations,
-                        apply_overrides(cfg, variant=variant))
+                        dataclasses.replace(cfg, variant=variant))
         for _ in range(args.warmup):
             model.score(heads, rels, training=False)
         samples = np.empty(args.iters)

@@ -12,7 +12,8 @@ Each key's section and valid range are declared with its
 whether parsed, constructed or copied by ``dataclasses.replace``.
 Unknown or duplicate keys are hard errors, as are out-of-range and
 non-finite values; there are no silently applied defaults for
-misspelled keys. The format round-trips: ``parse(serialize(cfg))``
+misspelled keys. A string value may not start or end with a blank or
+hold a line break, so the format round-trips: ``parse(serialize(cfg))``
 reproduces ``cfg`` exactly.
 """
 
@@ -148,19 +149,6 @@ def serialize_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_overrides(cfg: TrainConfig, seed: int | None = None,
-                    variant: str | None = None) -> TrainConfig:
-    """Apply command-line overrides (the copy validates itself)."""
-    updates: dict[str, object] = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if variant is not None:
-        updates["variant"] = variant
-    if not updates:
-        return cfg
-    return dataclasses.replace(cfg, **updates)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -168,7 +156,8 @@ def _require(cond: bool, message: str) -> None:
 
 def validate(cfg: TrainConfig) -> TrainConfig:
     """Raise :class:`ConfigError` at the first value ``cfg`` may not hold:
-    types and finiteness first, then each field's rule, then the rest."""
+    types, finiteness and string form first, then each field's rule,
+    then the rest."""
     for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
         kind, _, noun = _KINDS[f.type]
@@ -177,6 +166,10 @@ def validate(cfg: TrainConfig) -> TrainConfig:
                  f"{key}: expected {noun}, got {value!r}")
         if f.type == "float":
             _require(math.isfinite(value), f"{key} must be finite, got {value}")
+        if f.type == "str":  # parse_config strips values, one line per key
+            _require(value == value.strip() and len(value.splitlines()) <= 1,
+                     f"{key} must have no outer blanks or line breaks, got "
+                     f"{value!r}")
     for key, f in _FIELDS.items():
         rule, value = f.metadata["rule"], getattr(cfg, f.name)
         if isinstance(rule, tuple):

@@ -190,11 +190,11 @@ def sphere_exp_mu(v) -> Tensor:
     return T.cos(n) * mu + T.sin(n) / n * v
 
 
-def sphere_chart_clamp(x, margin: float = CHART_MARGIN) -> Tensor:
+def sphere_chart_clamp(x) -> Tensor:
     """Retract unit-sphere points into the domain of :func:`sphere_log_mu`.
 
     The log map's chart excludes a small cap around the antipode -μ.
-    Points whose last coordinate falls below ``-1 + margin`` have it
+    Points whose last coordinate falls below ``-1 + CHART_MARGIN`` have it
     raised to exactly that value, with the tangential part rescaled to
     keep the point on the sphere; everything else passes through
     bitwise unchanged, so the retraction is the identity almost
@@ -209,7 +209,7 @@ def sphere_chart_clamp(x, margin: float = CHART_MARGIN) -> Tensor:
     d = x.shape[-1]
     tang = T.narrow(x, -1, 0, d - 1)
     last = T.narrow(x, -1, d - 1, 1)
-    lifted = T.clip(last, lo=-1.0 + margin)
+    lifted = T.clip(last, lo=-1.0 + CHART_MARGIN)
     # The tangential norm is computed from the tangential data itself;
     # deriving it as 1 - last^2 would cancel catastrophically in the cap.
     # Interior points add an exact 0.0 to it, making scale exactly 1.

@@ -27,6 +27,9 @@ Array = np.ndarray
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Added to the variance in layer_norm so constant rows have a gradient.
+LAYER_NORM_EPS = 1e-5
+
 
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation.
@@ -429,9 +432,9 @@ def softmax(a, axis: int = -1) -> Tensor:
     return node(y, (a,), backward_fn)
 
 
-def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
+def dropout(a, p: float, rng=None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by
-    1/(1-p) so evaluation mode is the exact identity.
+    1/(1-p) so the expected output is the input; evaluation skips it.
 
     ``rng`` is an integer seed or a ``numpy.random.Generator``. A draw
     without one raises :class:`ConfigError`: no run draws unseeded.
@@ -439,7 +442,7 @@ def dropout(a, p: float, training: bool = True, rng=None) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     a = as_tensor(a)
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     if rng is None:
         raise ConfigError("training-mode dropout needs a seed or a Generator")
@@ -538,20 +541,18 @@ def inner(q, table, out: Array | None = None) -> Tensor:
                 lambda g: (g @ table.data, (q.data.T @ g).T))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``eps`` keeps the gradient defined for constant rows. The backward is
-    the closed form ``(gn - mean(gn) - x̂·mean(gn·x̂)) / std`` with
-    ``gn = g·gamma`` (Ba et al. 2016).
+    :data:`LAYER_NORM_EPS` keeps the gradient defined for constant rows.
+    The backward is the closed form ``(gn - mean(gn) - x̂·mean(gn·x̂)) / std``
+    with ``gn = g·gamma`` (Ba et al. 2016).
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     inv_d = 1.0 / x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d
-                  + eps)
+                  + LAYER_NORM_EPS)
     normed = np.divide(centered, std, out=centered)
     y = normed * gamma.data
     y += beta.data

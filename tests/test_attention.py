@@ -519,7 +519,7 @@ class TestBuildBlock:
         block = build_block(variant, 8, heads=2, ff_multiplier=2,
                             activation="gelu", curvature=1.0, seed=0)
         assert isinstance(block, SingleGeometryBlock)
-        assert isinstance(block.branch, cls)
+        assert isinstance(getattr(block, variant), cls)
         assert all(n.startswith(variant + ".") for n in block.parameters())
 
     def test_fixed_variant_forward_matches_branch(self):
@@ -529,7 +529,7 @@ class TestBuildBlock:
         x = Tensor(tokens(rng))
         out, alpha = block.forward(x)
         assert alpha is None
-        assert np.array_equal(out.data, block.branch(x).data)
+        assert np.array_equal(out.data, block.euclidean(x).data)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ fixture); determinism tests launch their own runs and compare artifact
 bytes.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -14,14 +15,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catkg import cli as cli_mod
 from catkg import trainer as trainer_mod
 from catkg.attention import VARIANTS
-from catkg.cli import _write_manifest, main
-from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, apply_overrides,
-                          load_config, parse_config, serialize_config,
-                          validate)
+from catkg.cli import _write_manifest, build_parser, main
+from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, load_config,
+                          parse_config, serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
 from catkg.kg import evaluate
 from catkg.tensor import load_checkpoint, save_checkpoint
@@ -111,6 +113,30 @@ FLOAT_KEYS = [
     "train.label_smoothing", "train.lambda_ent_init",
     "train.lambda_ent_decay", "train.lambda_ent_min", "train.plateau_factor",
 ]
+
+
+STR_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
+              if f.type == "str"]
+
+# Blanks str.strip() removes, breaks str.splitlines() splits at, and a few
+# characters that are neither.
+_BLANKS_AND_BREAKS = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+                      "\u2000\u2028\u2029\u3000\u200b,#=")
+
+
+def _str_values(name):
+    """Values for str field ``name``: ones it accepts, with blanks and line
+    breaks around or inside them, and arbitrary text."""
+    f = next(f for f in dataclasses.fields(TrainConfig) if f.name == name)
+    rule = f.metadata["rule"]
+    core = st.one_of(
+        st.sampled_from([f.default, "data/x y.txt",
+                         *(rule if isinstance(rule, tuple) else ())]),
+        st.text(max_size=12))
+    junk = st.text(alphabet=_BLANKS_AND_BREAKS, max_size=3)
+    join = lambda a, b, c: a + b + c  # noqa: E731
+    return st.one_of(core, st.builds(join, junk, core, junk),
+                     st.builds(join, core, junk, core))
 
 
 class TestConfigFormat:
@@ -208,13 +234,27 @@ class TestConfigFormat:
         with pytest.raises(PathError):
             load_config(tmp_path / "nope.cfg")
 
-    def test_overrides(self):
-        cfg = TrainConfig()
-        assert apply_overrides(cfg) is cfg
-        changed = apply_overrides(cfg, seed=4, variant="spherical")
-        assert changed.seed == 4 and changed.variant == "spherical"
-        with pytest.raises(ConfigError):
-            apply_overrides(cfg, seed=-1)
+    @pytest.mark.parametrize("value", [
+        " data.txt", "data.txt ", "\xa0x", "\tx", "a\nb", "a\r\nb", "a\rb",
+        "a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",
+        "a\u2028b", "a\u2029b", "\n"])
+    def test_str_with_outer_blanks_or_line_breaks_rejected(self, value):
+        # parse_config strips values and reads one line per key, so none of
+        # these could be written to a config file and read back.
+        assert _message(lambda: TrainConfig(train_path=value)) == (
+            "data.train_path must have no outer blanks or line breaks, "
+            f"got {value!r}")
+
+    @pytest.mark.parametrize("name", STR_FIELDS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_accepted_str_value_round_trips(self, name, data):
+        value = data.draw(_str_values(name))
+        try:
+            cfg = TrainConfig(**{name: value})
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 # Every key with a rule, in file order: the one declaration of what a
@@ -634,6 +674,37 @@ class TestBenchCommand:
         assert not out.exists()
 
 
+# Each subcommand's options: a flag no run needs is not declared.
+COMMON = ["--config", "--seed", "--out-dir", "-h", "--help"]
+SURFACE = {
+    "train": COMMON + ["--variant"],
+    "eval": COMMON + ["--variant", "--checkpoint", "--split"],
+    "bench": COMMON + ["--batch-size", "--warmup", "--iters"],
+    "route-export": COMMON + ["--variant", "--checkpoint", "--split", "--out"],
+}
+
+
+class TestSurface:
+    def test_each_subcommand_declares_exactly_its_options(self):
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert {name: sorted(s for action in p._actions
+                             for s in action.option_strings)
+                for name, p in sub.choices.items()} == \
+            {name: sorted(options) for name, options in SURFACE.items()}
+
+    def test_bench_has_no_variant_flag(self, trained, tmp_path):
+        # bench times every variant, so a --variant would only mislabel
+        # its manifest.
+        out = tmp_path / "bench"
+        code, stdout, stderr = run_cli([
+            "bench", "--config", str(trained["config"]),
+            "--variant", "cat", "--out-dir", str(out)])
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: invalid-args: ")
+        assert not out.exists()
+
+
 class TestErrorSurface:
     def test_help_exits_zero(self):
         code, stdout, _ = run_cli(["--help"])
@@ -661,6 +732,16 @@ class TestErrorSurface:
                                    str(trained["config"]),
                                    "--variant", "toroidal"])
         assert code == 2
+
+    def test_negative_seed_override_exits_one(self, trained, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli([
+            "train", "--config", str(trained["config"]), "--seed", "-1",
+            "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: invalid-config: train.seed must be >= 0, "
+                          "got -1\n")
+        assert not out.exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
         code, _, stderr = run_cli(["train", "--config",

@@ -432,12 +432,12 @@ class TestQueryDropoutSites:
         h = T.embedding(model.entity_emb, self.HEADS)
         r = T.embedding(model.relation_emb, self.RELS)
         if "entity" in sites:
-            h = T.dropout(h, self.P, training=True, rng=rng)
+            h = T.dropout(h, self.P, rng=rng)
         if "relation" in sites:
-            r = T.dropout(r, self.P, training=True, rng=rng)
+            r = T.dropout(r, self.P, rng=rng)
         x = h + r
         if "composite" in sites:
-            x = T.dropout(x, self.P, training=True, rng=rng)
+            x = T.dropout(x, self.P, rng=rng)
         y, alpha = model.block.forward(x.reshape(5, 1, 8))
         return y.reshape(5, 8), alpha
 
