@@ -14,6 +14,7 @@ import math
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -524,21 +525,87 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
                          f" buffer, got {found}")
 
 
+# Multiply-adds (B·d·n) from which inner runs its two (B, n)-sized GEMMs,
+# the forward and the query gradient, as two row blocks. FB15k-237's head
+# (512·64·14,541) splits; UMLS's (512·64·135) and a single row keep one
+# whole GEMM, since below this size the blocks cost more than a second
+# core gives.
+INNER_SPLIT_MULADDS = 2 ** 24
+
+# The one worker thread that runs a split GEMM's second block, and the id
+# of the process that started it: a forked child cannot use its parent's.
+_helper: ThreadPoolExecutor | None = None
+_helper_pid = 0
+
+
+def _second_core() -> ThreadPoolExecutor | None:
+    """The helper thread, or None when this process may run on one CPU.
+
+    Two threads that race to start it each get a working pool; the one
+    not kept shuts down once its caller lets go of it.
+    """
+    global _helper, _helper_pid
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    if _helper_pid != os.getpid():
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="catkg-gemm")
+        _helper_pid = os.getpid()
+    return _helper
+
+
+def _by_row_halves(gemm: Callable[[slice], object], rows: int) -> None:
+    """Call ``gemm`` on rows [0, ⌈rows/2⌉) and on the rest.
+
+    The second call runs on the helper thread when there is a second
+    CPU, else after the first; numpy releases the GIL inside BLAS. The
+    partition is fixed, so the bits do not depend on the number of CPUs.
+    """
+    first, second = slice(0, (rows + 1) // 2), slice((rows + 1) // 2, rows)
+    helper = _second_core()
+    if helper is None:
+        gemm(first)
+        gemm(second)
+        return
+    pending = helper.submit(gemm, second)
+    try:
+        gemm(first)
+    finally:
+        pending.result()
+
+
 def inner(q, table, out: Array | None = None) -> Tensor:
     """``q @ tableᵀ``: (B, d) queries against every row of an (n, d) table.
 
     With ``out`` the (B, n) result is written into that float64,
     C-contiguous array, which the caller owns and may overwrite once the
     forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
-    reads only ``q``, ``table`` and the incoming gradient.
+    reads only ``q``, ``table`` and the incoming gradient. From
+    :data:`INNER_SPLIT_MULADDS` the forward and ``g @ table`` run as two
+    fixed row blocks, on two CPUs where the process has them; the table
+    gradient stays one GEMM.
     """
     q, table = as_tensor(q), as_tensor(table)
     if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
         raise ShapeError(f"inner needs (B, d) and (n, d) operands, got"
                          f" {q.shape} and {table.shape}")
-    check_out(out, (q.shape[0], table.shape[0]), "inner")
-    return node(np.matmul(q.data, table.data.T, out=out), (q, table),
-                lambda g: (g @ table.data, (q.data.T @ g).T))
+    (b, d), n = q.shape, table.shape[0]
+    check_out(out, (b, n), "inner")
+    if b < 2 or b * d * n < INNER_SPLIT_MULADDS:
+        return node(np.matmul(q.data, table.data.T, out=out), (q, table),
+                    lambda g: (g @ table.data, (q.data.T @ g).T))
+    y = np.empty((b, n)) if out is None else out
+    _by_row_halves(
+        lambda rows: np.matmul(q.data[rows], table.data.T, out=y[rows]), b)
+
+    def backward_fn(g):
+        gq = np.empty((b, d))
+        _by_row_halves(
+            lambda rows: np.matmul(g[rows], table.data, out=gq[rows]), b)
+        return gq, (q.data.T @ g).T
+
+    return node(y, (q, table), backward_fn)
 
 
 def layer_norm(x, gamma, beta) -> Tensor:

@@ -1,8 +1,13 @@
 """Tensor core: forward values, tape gradients, and the checkpoint format."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +484,139 @@ class TestInner:
             T.inner(Tensor(self.q), Tensor(self.table.T))
         with pytest.raises(ShapeError):
             T.inner(Tensor(self.q[0]), Tensor(self.table))
+
+
+def inner_value_and_grads(q, table):
+    """``inner``'s value and its two gradients under a fixed upstream."""
+    g = np.cos(np.arange(q.shape[0] * table.shape[0], dtype=np.float64)
+               ).reshape(q.shape[0], table.shape[0])
+    qt, tt = Tensor(q, requires_grad=True), Tensor(table, requires_grad=True)
+    with Tape() as tape:
+        y = T.inner(qt, tt)
+        loss = (y * g).sum()
+    tape.backward(loss)
+    return y.data, qt.grad, tt.grad, g
+
+
+class TestInnerRowBlocks:
+    """From INNER_SPLIT_MULADDS, ``inner`` runs two fixed row blocks."""
+
+    # B·d·n is just above the threshold. With an odd table the two halves'
+    # forward differs in its last bits from the whole GEMM, so a path that
+    # skipped the partition would show.
+    SPLIT = (64, 64, 4097)
+
+    def operands(self, b, d, n, seed=4):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(b, d)), rng.normal(size=(n, d))
+
+    def cpus(self, monkeypatch, cpus):
+        monkeypatch.setattr(T.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    def test_the_threshold_sits_between_the_umls_and_fb_heads(self):
+        assert 512 * 64 * 135 < T.INNER_SPLIT_MULADDS <= 512 * 64 * 14541
+        assert math.prod(self.SPLIT) >= T.INNER_SPLIT_MULADDS
+
+    def test_helper_thread_and_in_turn_give_equal_bits(self, monkeypatch):
+        q, table = self.operands(*self.SPLIT)
+        self.cpus(monkeypatch, 2)
+        on_helper = inner_value_and_grads(q, table)
+        assert any(t.name.startswith("catkg-gemm")
+                   for t in threading.enumerate())
+        self.cpus(monkeypatch, 1)
+        in_turn = inner_value_and_grads(q, table)
+        for a, b in zip(on_helper, in_turn):
+            assert np.array_equal(a, b)
+
+    def test_the_blocks_are_the_two_row_halves(self, monkeypatch):
+        # Each block is the GEMM of its rows alone, whichever CPU ran it.
+        b, d, n = self.SPLIT
+        q, table = self.operands(b + 1, d, n)
+        self.cpus(monkeypatch, 2)
+        y, gq, gt, g = inner_value_and_grads(q, table)
+        half = (b + 2) // 2
+        assert np.array_equal(y[:half], q[:half] @ table.T)
+        assert np.array_equal(y[half:], q[half:] @ table.T)
+        assert np.array_equal(gq[:half], g[:half] @ table)
+        assert np.array_equal(gq[half:], g[half:] @ table)
+        assert np.array_equal(gt, (q.T @ g).T)
+
+    @pytest.mark.parametrize("shape", [(63, 64, 4096), (1, 64, 300_000)],
+                             ids=["below", "one_row"])
+    def test_below_the_threshold_it_is_one_whole_gemm(self, shape):
+        q, table = self.operands(*shape)
+        y, gq, gt, g = inner_value_and_grads(q, table)
+        assert np.array_equal(y, np.matmul(q, table.T))
+        assert np.array_equal(gq, g @ table)
+        assert np.array_equal(gt, (q.T @ g).T)
+
+    def test_split_writes_into_the_out_buffer(self):
+        q, table = self.operands(*self.SPLIT)
+        buf = np.full((q.shape[0], table.shape[0]), np.nan)
+        y = T.inner(Tensor(q), Tensor(table), out=buf)
+        assert y.data is buf
+        assert np.array_equal(buf, T.inner(Tensor(q), Tensor(table)).data)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gradient(self, monkeypatch, cpus):
+        monkeypatch.setattr(T, "INNER_SPLIT_MULADDS", 1)
+        self.cpus(monkeypatch, cpus)
+        q, table = self.operands(5, 3, 6)
+        assert T.grad_check(lambda a, b: T.tanh(T.inner(a, b)).sum(),
+                            [Tensor(q), Tensor(table)]) <= 1e-4
+
+    def test_threads_sharing_the_helper_get_their_own_bits(self, monkeypatch):
+        # More callers than CPUs queue their second blocks on one helper.
+        self.cpus(monkeypatch, 2)
+        cases = [self.operands(*self.SPLIT, seed=s) for s in range(6)]
+        want = [T.inner(q, t).data for q, t in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            for _ in range(3):
+                got[i] = T.inner(*cases[i]).data
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_its_own_helper(self):
+        # The parent's helper thread does not exist in a child, so a task
+        # submitted to it there would never run. The child is killed by
+        # its alarm if it hangs, and the test fails instead of waiting.
+        script = """
+import os, signal, sys
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+from catkg import tensor as T
+rng = np.random.default_rng(0)
+q, table = rng.normal(size=(64, 64)), rng.normal(size=(4096, 64))
+want = T.inner(q, table).data
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if np.array_equal(T.inner(q, table).data, want) else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCheckpointFormat:

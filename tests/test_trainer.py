@@ -8,8 +8,12 @@ entropy). Loop-level tests run a real toy graph end to end.
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +510,56 @@ class TestTrainLoop:
             tape.backward(loss)
             opt.step()
         assert entropy_now() > before
+
+
+# Trains a seeded toy graph whose head (B=512, d=8, 4,096 entities) and
+# validation walk run inner's two row blocks, then writes model.catw and
+# epochs.log to argv[1]. With argv[2] == "one" it first pins itself to
+# one CPU. Prints the CPUs it ran on.
+TWO_BLOCK_TRAIN = """
+import os, sys
+import numpy as np
+from catkg import trainer
+from catkg.config import TrainConfig
+from catkg.kg import TripleStore
+out, cpus = sys.argv[1], sys.argv[2]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+n, rng = 4096, np.random.default_rng(8)
+triples = np.unique(rng.integers(0, [n, 3, n], size=(1400, 3)), axis=0)
+rng.shuffle(triples)
+store = TripleStore.from_splits(
+    {f"e{i}": i for i in range(n)}, {f"r{i}": i for i in range(3)},
+    triples[:1200], triples[:600], triples[1200:1300])
+result = trainer.train(store, TrainConfig(d=8, heads=2, batch_size=512,
+                                          epochs=2, seed=3))
+trainer.save_model(os.path.join(out, "model.catw"), result.model)
+with open(os.path.join(out, "epochs.log"), "w", encoding="utf-8") as fh:
+    fh.write(result.log_text())
+print(len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_cpu_and_two_train_the_same_bytes(tmp_path):
+    assert 512 * 8 * 4096 >= T.INNER_SPLIT_MULADDS
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    ran_on = {}
+    for cpus in ("all", "one"):
+        (tmp_path / cpus).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_BLOCK_TRAIN, str(tmp_path / cpus),
+             cpus], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ran_on[cpus] = int(proc.stdout)
+    assert ran_on["one"] == 1
+    assert ran_on["all"] == len(os.sched_getaffinity(0))
+    for name in ("model.catw", "epochs.log"):
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes())
 
 
 class TestModelCheckpointIO:
