@@ -15,7 +15,7 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import erf as _np_erf
@@ -24,6 +24,8 @@ from .errors import (ConfigError, IndexLookupError, NumericsError, ParseError,
                      ShapeError)
 
 Array = np.ndarray
+_M = TypeVar("_M")
+_S = TypeVar("_S")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -532,8 +534,9 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
 # core gives.
 INNER_SPLIT_MULADDS = 2 ** 24
 
-# The one worker thread that runs a split GEMM's second block, and the id
-# of the process that started it: a forked child cannot use its parent's.
+# The one worker thread that runs beside the caller (a split GEMM's second
+# block, evaluate's finiteness check), and the id of the process that
+# started it: a forked child cannot use its parent's.
 _helper: ThreadPoolExecutor | None = None
 _helper_pid = 0
 
@@ -550,29 +553,41 @@ def _second_core() -> ThreadPoolExecutor | None:
     if cpus < 2:
         return None
     if _helper_pid != os.getpid():
-        _helper = ThreadPoolExecutor(1, thread_name_prefix="catkg-gemm")
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="catkg-helper")
         _helper_pid = os.getpid()
     return _helper
 
 
-def _by_row_halves(gemm: Callable[[slice], object], rows: int) -> None:
-    """Call ``gemm`` on rows [0, ⌈rows/2⌉) and on the rest.
+def beside(main: Callable[[], _M], side: Callable[[], _S]) -> tuple[_M, _S]:
+    """``(main(), side())``, with ``side`` run beside the caller.
 
-    The second call runs on the helper thread when there is a second
-    CPU, else after the first; numpy releases the GIL inside BLAS. The
-    partition is fixed, so the bits do not depend on the number of CPUs.
+    ``side`` runs on the helper thread while the caller runs ``main``
+    when the process may use a second CPU, else after ``main`` in the
+    caller's thread. Either way ``side`` is not running once this
+    returns or raises, so the caller may then reuse whatever it reads.
+    The two overlap only while they spend their time in numpy calls
+    that release the GIL.
     """
-    first, second = slice(0, (rows + 1) // 2), slice((rows + 1) // 2, rows)
     helper = _second_core()
     if helper is None:
-        gemm(first)
-        gemm(second)
-        return
-    pending = helper.submit(gemm, second)
+        return main(), side()
+    pending = helper.submit(side)
     try:
-        gemm(first)
+        first = main()
     finally:
-        pending.result()
+        second = pending.result()
+    return first, second
+
+
+def _by_row_halves(gemm: Callable[[slice], object], rows: int) -> None:
+    """Call ``gemm`` on rows [0, ⌈rows/2⌉) and, :func:`beside` it, on
+    the rest.
+
+    numpy releases the GIL inside BLAS. The partition is fixed, so the
+    bits do not depend on the number of CPUs.
+    """
+    half = (rows + 1) // 2
+    beside(lambda: gemm(slice(0, half)), lambda: gemm(slice(half, rows)))
 
 
 def inner(q, table, out: Array | None = None) -> Tensor:

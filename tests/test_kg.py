@@ -7,7 +7,11 @@ exactly ln n for any smoothing level, since the target row sums to 1).
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1076,7 +1080,44 @@ class _FixedScoreModel:
         return Tensor(self.rows[:len(heads)]), None
 
 
+# Where evaluate's finiteness scan runs, as (CPUs the process may use,
+# CHECK_BESIDE_SCORES or None for the package's value, whether the scan
+# runs on the helper thread).
+CHECK_PATHS = {"helper": (2, 1, True), "below": (2, None, False),
+               "one_cpu": (1, 1, False)}
+
+
 class TestEvaluate:
+    def check_on(self, monkeypatch, cpus, threshold=None):
+        """Let the process use ``cpus`` CPUs and, unless None, set
+        CHECK_BESIDE_SCORES to ``threshold``. The returned list gets the
+        name of the thread that ran each batch's finiteness scan."""
+        monkeypatch.setattr(T.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        if threshold is not None:
+            monkeypatch.setattr(kg_mod, "CHECK_BESIDE_SCORES", threshold)
+        ran_on = []
+        scan = kg_mod._first_nonfinite_row
+
+        def spy(scores, flags):
+            ran_on.append(threading.current_thread().name)
+            return scan(scores, flags)
+
+        monkeypatch.setattr(kg_mod, "_first_nonfinite_row", spy)
+        return ran_on
+
+    @staticmethod
+    def assert_ran_on(ran_on, helper):
+        caller = threading.current_thread().name
+        assert ran_on
+        assert all(name.startswith("catkg-helper") if helper
+                   else name == caller for name in ran_on)
+
+    def test_check_threshold_sits_between_the_umls_and_fb_batches(self):
+        # UMLS's largest split against FB15k-237's valid view and test batch.
+        assert (661 * 135 < kg_mod.CHECK_BESIDE_SCORES
+                <= 256 * 14541 <= kg_mod.EVAL_BATCH * 14541)
+
     def test_mrr_and_hits_arithmetic(self):
         # ranks engineered to be 1, 2, 4 -> MRR = (1 + 1/2 + 1/4)/3 = 7/12
         store = build_toy_store(n_entities=4, n_relations=1, n_train=3,
@@ -1094,17 +1135,40 @@ class TestEvaluate:
         assert metrics.n_evaluated == 3
 
     @pytest.mark.parametrize("row", [0, 1])
-    def test_non_finite_scores_raise(self, row):
-        # Row 0 puts the NaN on the target's own score, row 1 on a
-        # competitor, which a comparison would quietly rank below the target.
+    def test_non_finite_scores_raise(self, monkeypatch, row):
+        # Row 0 puts the NaN on the target's own score with no known tails,
+        # which ranks it 0; row 1 puts it on a competitor, which a
+        # comparison would quietly rank below the target.
         store = build_toy_store(n_entities=4, n_relations=1, n_train=3,
                                 n_test=1, n_valid=1)
         store.train = np.array([[0, 0, 0], [1, 0, 1]])
         store.filter_index = FilterIndex(np.empty((0, 3)), 4, 1)
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
         rows[row, 2 * row] = np.nan
-        with pytest.raises(NumericsError):
-            evaluate(store, _FixedScoreModel(rows), "train")
+        for cpus, threshold, helper in CHECK_PATHS.values():
+            with monkeypatch.context() as m:
+                ran_on = self.check_on(m, cpus, threshold)
+                with pytest.raises(NumericsError,
+                                   match=rf"query \({row}, 0\)"):
+                    evaluate(store, _FixedScoreModel(rows), "train")
+            self.assert_ran_on(ran_on, helper)
+
+    @pytest.mark.parametrize("path", sorted(CHECK_PATHS))
+    def test_the_first_non_finite_query_is_named(self, monkeypatch, path):
+        # One batch of eight: a NaN competitor in row 3 and an inf target
+        # in row 5. The whole batch is ranked before the scan's verdict.
+        cpus, threshold, helper = CHECK_PATHS[path]
+        ran_on = self.check_on(monkeypatch, cpus, threshold)
+        store = build_toy_store(n_entities=8, n_relations=2)
+        store.test = np.array([[i, 1, (i + 1) % 8] for i in range(8)])
+        store.filter_index = FilterIndex(store.test, 8, 2)
+        rows = np.tile(np.arange(8.0), (8, 1))
+        rows[3, 0] = np.nan
+        rows[5, 6] = np.inf
+        with pytest.raises(NumericsError,
+                           match=r"query \(3, 1\) on the 'test' split"):
+            evaluate(store, _FixedScoreModel(rows), "test")
+        self.assert_ran_on(ran_on, helper)
 
     def test_empty_split_rejected(self, toy_store):
         toy_store.valid = np.zeros((0, 3), dtype=np.int64)
@@ -1169,6 +1233,22 @@ class TestEvaluate:
         assert [buf.shape for buf in seen] == [(2, 12), (2, 12), (1, 12)]
         assert all(np.shares_memory(buf, seen[0]) for buf in seen)
 
+    def test_every_check_path_gives_equal_metrics(self, monkeypatch):
+        # 960 test rows of 1,100 scores reach the package's threshold.
+        store = build_toy_store(n_entities=1100, n_train=1000, n_test=960)
+        assert 960 * 1100 >= kg_mod.CHECK_BESIDE_SCORES
+        model = KgModel(1100, store.n_relations, TrainConfig(d=8, heads=2,
+                                                             seed=4))
+        got = []
+        for cpus, threshold, helper in [(2, None, True), (1, None, False),
+                                        (2, math.inf, False)]:
+            with monkeypatch.context() as m:
+                ran_on = self.check_on(m, cpus, threshold)
+                got.append(evaluate(store, model, "test"))
+            self.assert_ran_on(ran_on, helper)
+        assert got[0].mean_alpha is not None
+        assert got[0] == got[1] == got[2]
+
     def test_untrained_model_ranks_like_chance(self):
         # With random embeddings the true tail is an arbitrary entity, so
         # MRR should sit near the uniform-rank expectation H_n / n.
@@ -1186,3 +1266,41 @@ class TestEvaluate:
         assert lines[0] == "split=valid seed=3 metric=mrr value=0.5"
         assert lines[1] == "split=valid seed=3 metric=hits_at_10 value=0.75"
         assert lines[2] == "split=valid seed=3 metric=n_evaluated value=8"
+
+
+# Trains a UMLS-shaped graph (135 entities, 46 relations, 5,216 / 652 / 661
+# triples) for one epoch with the default config, validation included,
+# evaluates its test split, and prints the names of the live threads; then
+# evaluates once more with CHECK_BESIDE_SCORES at 1 and prints them again.
+# The process claims two CPUs, so only the sizes keep the helper away.
+UMLS_EVALUATE = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from catkg import kg, trainer
+from catkg.config import TrainConfig
+rng = np.random.default_rng(5)
+triples = np.unique(rng.integers(0, [135, 46, 135], size=(7000, 3)), axis=0)
+rng.shuffle(triples)
+store = kg.TripleStore.from_splits(
+    {f"e{i}": i for i in range(135)}, {f"r{i}": i for i in range(46)},
+    triples[:5216], triples[5216:5868], triples[5868:6529])
+result = trainer.train(store, TrainConfig(epochs=1, seed=1))
+kg.evaluate(store, result.model, "test")
+print(" ".join(t.name for t in threading.enumerate()))
+kg.CHECK_BESIDE_SCORES = 1
+kg.evaluate(store, result.model, "test")
+print(" ".join(t.name for t in threading.enumerate()))
+"""
+
+
+def test_umls_sized_runs_start_no_helper_thread():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", UMLS_EVALUATE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    umls, forced = (line.split() for line in proc.stdout.splitlines())
+    assert not [name for name in umls if name.startswith("catkg-")]
+    assert [name for name in forced if name.startswith("catkg-helper")]

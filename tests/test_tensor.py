@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -498,6 +499,54 @@ def inner_value_and_grads(q, table):
     return y.data, qt.grad, tt.grad, g
 
 
+def use_cpus(monkeypatch, cpus):
+    """Let the process appear to run on ``cpus`` CPUs."""
+    monkeypatch.setattr(T.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+class TestBeside:
+    """``beside`` runs its second callable on the helper or in turn."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_returns_both_results_from_the_expected_threads(self, monkeypatch,
+                                                            cpus):
+        use_cpus(monkeypatch, cpus)
+        ran_on = {}
+
+        def record(value):
+            ran_on[value] = threading.current_thread().name
+            return value
+
+        assert T.beside(lambda: record("main"),
+                        lambda: record("side")) == ("main", "side")
+        caller = threading.current_thread().name
+        assert ran_on["main"] == caller
+        if cpus == 2:
+            assert ran_on["side"].startswith("catkg-helper")
+        else:
+            assert ran_on["side"] == caller
+
+    def test_side_has_finished_when_main_raises(self, monkeypatch):
+        # The side waits for main to start, so it is still running when
+        # main raises; beside must not return before it ends.
+        use_cpus(monkeypatch, 2)
+        started, done = threading.Event(), threading.Event()
+
+        def side():
+            started.wait(10)
+            time.sleep(0.05)
+            done.set()
+
+        def main():
+            started.set()
+            raise ValueError("main failed")
+
+        with pytest.raises(ValueError, match="main failed"):
+            T.beside(main, side)
+        assert done.is_set()
+
+
 class TestInnerRowBlocks:
     """From INNER_SPLIT_MULADDS, ``inner`` runs two fixed row blocks."""
 
@@ -510,21 +559,17 @@ class TestInnerRowBlocks:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(b, d)), rng.normal(size=(n, d))
 
-    def cpus(self, monkeypatch, cpus):
-        monkeypatch.setattr(T.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-
     def test_the_threshold_sits_between_the_umls_and_fb_heads(self):
         assert 512 * 64 * 135 < T.INNER_SPLIT_MULADDS <= 512 * 64 * 14541
         assert math.prod(self.SPLIT) >= T.INNER_SPLIT_MULADDS
 
     def test_helper_thread_and_in_turn_give_equal_bits(self, monkeypatch):
         q, table = self.operands(*self.SPLIT)
-        self.cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         on_helper = inner_value_and_grads(q, table)
-        assert any(t.name.startswith("catkg-gemm")
+        assert any(t.name.startswith("catkg-helper")
                    for t in threading.enumerate())
-        self.cpus(monkeypatch, 1)
+        use_cpus(monkeypatch, 1)
         in_turn = inner_value_and_grads(q, table)
         for a, b in zip(on_helper, in_turn):
             assert np.array_equal(a, b)
@@ -533,7 +578,7 @@ class TestInnerRowBlocks:
         # Each block is the GEMM of its rows alone, whichever CPU ran it.
         b, d, n = self.SPLIT
         q, table = self.operands(b + 1, d, n)
-        self.cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         y, gq, gt, g = inner_value_and_grads(q, table)
         half = (b + 2) // 2
         assert np.array_equal(y[:half], q[:half] @ table.T)
@@ -561,14 +606,14 @@ class TestInnerRowBlocks:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_gradient(self, monkeypatch, cpus):
         monkeypatch.setattr(T, "INNER_SPLIT_MULADDS", 1)
-        self.cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
         q, table = self.operands(5, 3, 6)
         assert T.grad_check(lambda a, b: T.tanh(T.inner(a, b)).sum(),
                             [Tensor(q), Tensor(table)]) <= 1e-4
 
     def test_threads_sharing_the_helper_get_their_own_bits(self, monkeypatch):
         # More callers than CPUs queue their second blocks on one helper.
-        self.cpus(monkeypatch, 2)
+        use_cpus(monkeypatch, 2)
         cases = [self.operands(*self.SPLIT, seed=s) for s in range(6)]
         want = [T.inner(q, t).data for q, t in cases]
         got = [None] * len(cases)
