@@ -106,7 +106,10 @@ def main(argv=None) -> int:
     handler = {"train": _cmd_train, "eval": _cmd_eval, "bench": _cmd_bench,
                "route-export": _cmd_route_export}[args.command]
     try:
-        handler(args)
+        # Every non-finite value ends in a NumericsError, so numpy's
+        # warnings would only come before the one error line.
+        with np.errstate(all="ignore"):
+            handler(args)
     except CatkgError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1

@@ -480,12 +480,6 @@ def _first_nonfinite_row(scores: np.ndarray, flags: np.ndarray) -> int:
     return -1
 
 
-# Scores (B·n) from which evaluate checks a batch's finiteness on the
-# helper thread while it ranks the rows. FB15k-237's valid view (256 ×
-# 14,541) and test batches (1,024 × 14,541) reach it; UMLS's (≤ 661 ×
-# 135) stays below, so its runs never start the helper.
-CHECK_BESIDE_SCORES = 2 ** 20
-
 # Rows per block of the finiteness scan. Sixteen FB15k-237 score rows and
 # their flags take 2.09 MB, within one 2 MiB L2; 64 rows scanned no faster.
 CHECK_BLOCK_ROWS = 16
@@ -496,11 +490,10 @@ def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
 
     Runs in eval mode, :data:`EVAL_BATCH` queries per forward. Each
     batch's scores are ranked row by row and checked for finiteness in
-    one scan; from :data:`CHECK_BESIDE_SCORES` scores the scan runs
-    beside the ranking, on the helper thread where the process may use
-    a second CPU (:func:`tensor.beside`), and below it after the ranking.
-    A batch counts only once it is all finite; else
-    :class:`NumericsError` names its first non-finite query.
+    one scan, which :func:`tensor.beside` runs beside the ranking on the
+    helper thread or after it in the caller's. A batch counts only once
+    it is all finite; else :class:`NumericsError` names its first
+    non-finite query.
     """
     triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0
@@ -527,10 +520,7 @@ def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
         def check():
             return _first_nonfinite_row(scores, flags)
 
-        if scores.size >= CHECK_BESIDE_SCORES:
-            ranks, bad = T.beside(rank_rows, check)
-        else:
-            ranks, bad = rank_rows(), check()
+        ranks, bad = T.beside(rank_rows, check, scores.size)
         if bad >= 0:
             h, r, _ = batch[bad].tolist()
             raise NumericsError(f"non-finite scores for query ({h}, {r})"

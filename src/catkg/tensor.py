@@ -10,6 +10,7 @@ domain boundaries and need the headroom.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import struct
@@ -527,16 +528,15 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
                          f" buffer, got {found}")
 
 
-# Multiply-adds (B·d·n) from which inner runs its two (B, n)-sized GEMMs,
-# the forward and the query gradient, as two row blocks. FB15k-237's head
-# (512·64·14,541) splits; UMLS's (512·64·135) and a single row keep one
-# whole GEMM, since below this size the blocks cost more than a second
-# core gives.
-INNER_SPLIT_MULADDS = 2 ** 24
+# Entries of a (B, n) array from which its work runs in two parts, the
+# second beside the caller: inner's forward and query gradient as two row
+# blocks, evaluate's finiteness scan beside its rank loop. FB15k-237's
+# heads and eval batches (≥ 256 × 14,541) reach it; UMLS's (≤ 661 × 135)
+# stay below, where a second thread costs more than it gives.
+BESIDE_FROM = 2 ** 18
 
-# The one worker thread that runs beside the caller (a split GEMM's second
-# block, evaluate's finiteness check), and the id of the process that
-# started it: a forked child cannot use its parent's.
+# The one worker thread that runs beside the caller, and the id of the
+# process that started it: a forked child cannot use its parent's.
 _helper: ThreadPoolExecutor | None = None
 _helper_pid = 0
 
@@ -558,36 +558,27 @@ def _second_core() -> ThreadPoolExecutor | None:
     return _helper
 
 
-def beside(main: Callable[[], _M], side: Callable[[], _S]) -> tuple[_M, _S]:
-    """``(main(), side())``, with ``side`` run beside the caller.
+def beside(main: Callable[[], _M], side: Callable[[], _S],
+           size: int) -> tuple[_M, _S]:
+    """``(main(), side())`` for work on ``size`` entries of a (B, n) array.
 
-    ``side`` runs on the helper thread while the caller runs ``main``
-    when the process may use a second CPU, else after ``main`` in the
-    caller's thread. Either way ``side`` is not running once this
-    returns or raises, so the caller may then reuse whatever it reads.
-    The two overlap only while they spend their time in numpy calls
-    that release the GIL.
+    From :data:`BESIDE_FROM` entries, and where the process may use a
+    second CPU, ``side`` runs on the helper thread in a copy of the
+    caller's context (so under its ``np.errstate``) while the caller runs
+    ``main``; else it runs after ``main`` in the caller's thread. Either
+    way ``side`` is not running once this returns or raises, so the
+    caller may then reuse whatever it reads. The two overlap only while
+    they spend their time in numpy calls that release the GIL.
     """
-    helper = _second_core()
+    helper = _second_core() if size >= BESIDE_FROM else None
     if helper is None:
         return main(), side()
-    pending = helper.submit(side)
+    pending = helper.submit(contextvars.copy_context().run, side)
     try:
         first = main()
     finally:
         second = pending.result()
     return first, second
-
-
-def _by_row_halves(gemm: Callable[[slice], object], rows: int) -> None:
-    """Call ``gemm`` on rows [0, ⌈rows/2⌉) and, :func:`beside` it, on
-    the rest.
-
-    numpy releases the GIL inside BLAS. The partition is fixed, so the
-    bits do not depend on the number of CPUs.
-    """
-    half = (rows + 1) // 2
-    beside(lambda: gemm(slice(0, half)), lambda: gemm(slice(half, rows)))
 
 
 def inner(q, table, out: Array | None = None) -> Tensor:
@@ -597,9 +588,9 @@ def inner(q, table, out: Array | None = None) -> Tensor:
     C-contiguous array, which the caller owns and may overwrite once the
     forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
     reads only ``q``, ``table`` and the incoming gradient. From
-    :data:`INNER_SPLIT_MULADDS` the forward and ``g @ table`` run as two
-    fixed row blocks, on two CPUs where the process has them; the table
-    gradient stays one GEMM.
+    :data:`BESIDE_FROM` entries of the result and B ≥ 2, the forward and
+    ``g @ table`` run as rows [0, ⌈B/2⌉) and the rest, the second
+    :func:`beside` the first; the table gradient stays one GEMM.
     """
     q, table = as_tensor(q), as_tensor(table)
     if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
@@ -607,17 +598,23 @@ def inner(q, table, out: Array | None = None) -> Tensor:
                          f" {q.shape} and {table.shape}")
     (b, d), n = q.shape, table.shape[0]
     check_out(out, (b, n), "inner")
-    if b < 2 or b * d * n < INNER_SPLIT_MULADDS:
-        return node(np.matmul(q.data, table.data.T, out=out), (q, table),
-                    lambda g: (g @ table.data, (q.data.T @ g).T))
+
+    def by_rows(gemm: Callable[[slice], object]) -> None:
+        # numpy releases the GIL inside BLAS. The partition is fixed, so
+        # the bits do not depend on the number of CPUs.
+        if b < 2 or b * n < BESIDE_FROM:
+            gemm(slice(0, b))
+        else:
+            half = (b + 1) // 2
+            beside(lambda: gemm(slice(0, half)),
+                   lambda: gemm(slice(half, b)), b * n)
+
     y = np.empty((b, n)) if out is None else out
-    _by_row_halves(
-        lambda rows: np.matmul(q.data[rows], table.data.T, out=y[rows]), b)
+    by_rows(lambda rows: np.matmul(q.data[rows], table.data.T, out=y[rows]))
 
     def backward_fn(g):
         gq = np.empty((b, d))
-        _by_row_halves(
-            lambda rows: np.matmul(g[rows], table.data, out=gq[rows]), b)
+        by_rows(lambda rows: np.matmul(g[rows], table.data, out=gq[rows]))
         return gq, (q.data.T @ g).T
 
     return node(y, (q, table), backward_fn)

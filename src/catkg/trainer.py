@@ -321,7 +321,9 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
 
     Columns: head, relation, alpha_e, alpha_h, alpha_s (original string
     identifiers, weights in full precision). Per-geometry means are
-    appended as '#'-prefixed trailer lines and returned.
+    appended as '#'-prefixed trailer lines and returned. A non-finite
+    weight raises :class:`NumericsError`, naming its query, before the
+    table replaces any file.
     """
     if model.variant != "cat":
         raise UnsupportedVariantError(
@@ -336,6 +338,11 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
             batch = triples[start:start + EVAL_BATCH]
             _, alpha = model.query(batch[:, 0], batch[:, 1])
             weights = alpha.data.reshape(-1, 3)
+            finite = np.isfinite(weights).all(axis=1)
+            if not finite.all():
+                h, r, _ = batch[finite.argmin()].tolist()
+                raise NumericsError(f"non-finite routing weights for query"
+                                    f" ({h}, {r}) on the {split!r} split")
             alpha_sum += weights.sum(axis=0)
             for (h, r, _), w in zip(batch, weights):
                 fh.write(f"{entity_names[int(h)]}\t{relation_names[int(r)]}\t"

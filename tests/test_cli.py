@@ -11,7 +11,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from catkg.cli import _write_manifest, build_parser, main
 from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, load_config,
                           parse_config, serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
-from catkg.kg import evaluate
+from catkg import tensor as T
+from catkg.kg import KgModel, evaluate, load_triples
 from catkg.tensor import load_checkpoint, save_checkpoint
 
 from conftest import build_toy_store, write_store_files
@@ -68,6 +73,38 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse exits
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# Runs main() on argv[2:] in a fresh process, as ``python -m catkg`` does,
+# then prints the names of the live threads. With argv[1] == "two" the
+# process claims two CPUs whatever it may use.
+CLI_PROCESS = """
+import os, sys, threading
+if sys.argv[1] == "two":
+    os.sched_getaffinity = lambda pid: {0, 1}
+from catkg.cli import main
+code = main(sys.argv[2:])
+print(" ".join(t.name for t in threading.enumerate()))
+sys.exit(code)
+"""
+
+
+def run_cli_process(argv, cpus="own"):
+    """Run the CLI in a subprocess with numpy's default error handling,
+    returning (exit_code, stdout, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CLI_PROCESS, cpus, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_one_non_finite_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith("error: non-finite: ")
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +408,20 @@ class TestTrainCommand:
                          "manifest.json"):
             assert (out_dir / artifact).exists(), artifact
 
+    def test_diverging_run_writes_only_the_error_line(self, trained,
+                                                      tmp_path):
+        cfg_path = tmp_path / "huge-lr.cfg"
+        cfg_path.write_text(trained["config"].read_text().replace(
+            "train.lr = 0.01", "train.lr = 1e300").replace(
+            "train.batch_size = 64", "train.batch_size = 16"),
+            encoding="utf-8")
+        code, _, stderr = run_cli_process([
+            "train", "--config", str(cfg_path),
+            "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_non_finite_line(stderr)
+        assert "non-finite training loss" in stderr
+
     def test_epoch_log_has_one_line_per_epoch(self, trained):
         lines = (trained["out_dir"] / "epochs.log").read_text().splitlines()
         assert len(lines) == 8
@@ -521,6 +572,44 @@ class TestEvalCommand:
         assert code == 1
         assert stderr.startswith("error: non-finite: ")
 
+    def test_overflowing_scores_write_only_the_error_line(self, trained,
+                                                          tmp_path):
+        # Finite parameters whose scores overflow: numpy's warnings would
+        # come before the error line.
+        tensors = load_checkpoint(trained["checkpoint"])
+        tensors["entity_emb"][1] = 1e308
+        bad = tmp_path / "huge.catw"
+        save_checkpoint(bad, tensors)
+        code, _, stderr = run_cli_process([
+            "eval", "--config", str(trained["config"]),
+            "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_non_finite_line(stderr)
+
+    def test_overflow_on_the_helper_thread_writes_only_the_error_line(
+            self, tmp_path):
+        # The test split's (B, n) scores reach tensor.BESIDE_FROM, so with
+        # two CPUs claimed the head's second row block and the finiteness
+        # scan run on the helper thread. Entity 1 overflows the last
+        # query's score, which is in that block.
+        paths = write_dataset(tmp_path, n_entities=2048, n_train=2000,
+                              n_valid=10, n_test=512)
+        cfg_path = write_config(tmp_path, paths)
+        store = load_triples(paths["train"], paths["valid"], paths["test"])
+        assert store.test.shape[0] * store.n_entities >= T.BESIDE_FROM
+        model = KgModel(store.n_entities, store.n_relations,
+                        load_config(cfg_path))
+        last, _ = model.query(store.test[-1:, 0], store.test[-1:, 1])
+        model.entity_emb.data[1] = 1e308 * np.sign(last.data[0])
+        checkpoint = tmp_path / "huge.catw"
+        trainer_mod.save_model(checkpoint, model)
+        code, stdout, stderr = run_cli_process([
+            "eval", "--config", str(cfg_path), "--checkpoint",
+            str(checkpoint), "--out-dir", str(tmp_path / "out")], "two")
+        assert code == 1
+        assert_one_non_finite_line(stderr)
+        assert "catkg-helper" in stdout
+
     def test_corrupt_checkpoint_header_is_a_parse_error(self, trained,
                                                         tmp_path):
         raw = bytearray(trained["checkpoint"].read_bytes())
@@ -606,6 +695,25 @@ class TestRouteExportCommand:
         assert code == 1 and stdout == ""
         assert stderr == ("error: invalid-config: cannot export routing of "
                           "an empty 'test' split\n")
+        assert not (out / "routing.tsv").exists()
+
+    def test_non_finite_weights_exit_one_and_leave_no_table(self, trained,
+                                                            tmp_path):
+        # Finite parameters that overflow the router of relation 1.
+        tensors = load_checkpoint(trained["checkpoint"])
+        tensors["relation_emb"][1] = 1e308
+        tensors["block.router.lin2.bias"][:2] = 1e308
+        bad = tmp_path / "huge.catw"
+        save_checkpoint(bad, tensors)
+        out = tmp_path / "routes"
+        code, stdout, stderr = run_cli([
+            "route-export", "--config", str(trained["config"]),
+            "--checkpoint", str(bad), "--split", "train",
+            "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert re.fullmatch(r"error: non-finite: non-finite routing weights"
+                            r" for query \(\d+, 1\) on the 'train' split\n",
+                            stderr)
         assert not (out / "routing.tsv").exists()
 
     def test_fixed_variant_checkpoint_is_unsupported(self, trained, tmp_path):

@@ -1081,7 +1081,7 @@ class _FixedScoreModel:
 
 
 # Where evaluate's finiteness scan runs, as (CPUs the process may use,
-# CHECK_BESIDE_SCORES or None for the package's value, whether the scan
+# tensor.BESIDE_FROM or None for the package's value, whether the scan
 # runs on the helper thread).
 CHECK_PATHS = {"helper": (2, 1, True), "below": (2, None, False),
                "one_cpu": (1, 1, False)}
@@ -1090,12 +1090,12 @@ CHECK_PATHS = {"helper": (2, 1, True), "below": (2, None, False),
 class TestEvaluate:
     def check_on(self, monkeypatch, cpus, threshold=None):
         """Let the process use ``cpus`` CPUs and, unless None, set
-        CHECK_BESIDE_SCORES to ``threshold``. The returned list gets the
+        tensor.BESIDE_FROM to ``threshold``. The returned list gets the
         name of the thread that ran each batch's finiteness scan."""
         monkeypatch.setattr(T.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         if threshold is not None:
-            monkeypatch.setattr(kg_mod, "CHECK_BESIDE_SCORES", threshold)
+            monkeypatch.setattr(T, "BESIDE_FROM", threshold)
         ran_on = []
         scan = kg_mod._first_nonfinite_row
 
@@ -1112,11 +1112,6 @@ class TestEvaluate:
         assert ran_on
         assert all(name.startswith("catkg-helper") if helper
                    else name == caller for name in ran_on)
-
-    def test_check_threshold_sits_between_the_umls_and_fb_batches(self):
-        # UMLS's largest split against FB15k-237's valid view and test batch.
-        assert (661 * 135 < kg_mod.CHECK_BESIDE_SCORES
-                <= 256 * 14541 <= kg_mod.EVAL_BATCH * 14541)
 
     def test_mrr_and_hits_arithmetic(self):
         # ranks engineered to be 1, 2, 4 -> MRR = (1 + 1/2 + 1/4)/3 = 7/12
@@ -1234,20 +1229,33 @@ class TestEvaluate:
         assert all(np.shares_memory(buf, seen[0]) for buf in seen)
 
     def test_every_check_path_gives_equal_metrics(self, monkeypatch):
-        # 960 test rows of 1,100 scores reach the package's threshold.
+        # 960 test rows of 1,100 scores reach the package's threshold, so
+        # the model's head runs two row blocks on one CPU or two alike.
         store = build_toy_store(n_entities=1100, n_train=1000, n_test=960)
-        assert 960 * 1100 >= kg_mod.CHECK_BESIDE_SCORES
+        assert 960 * 1100 >= T.BESIDE_FROM
         model = KgModel(1100, store.n_relations, TrainConfig(d=8, heads=2,
                                                              seed=4))
         got = []
+        for cpus, helper in [(2, True), (1, False)]:
+            with monkeypatch.context() as m:
+                ran_on = self.check_on(m, cpus)
+                got.append(evaluate(store, model, "test"))
+            self.assert_ran_on(ran_on, helper)
+        assert got[0].mean_alpha is not None
+        assert got[0] == got[1]
+        # A threshold above the batch also keeps the head whole, so the
+        # below-threshold path gets the same scores through a fixed model.
+        rows = model.score(store.test[:, 0], store.test[:, 1],
+                           training=False)[0].data
+        fixed = []
         for cpus, threshold, helper in [(2, None, True), (1, None, False),
                                         (2, math.inf, False)]:
             with monkeypatch.context() as m:
                 ran_on = self.check_on(m, cpus, threshold)
-                got.append(evaluate(store, model, "test"))
+                fixed.append(evaluate(store, _FixedScoreModel(rows), "test"))
             self.assert_ran_on(ran_on, helper)
-        assert got[0].mean_alpha is not None
-        assert got[0] == got[1] == got[2]
+        assert fixed[0] == fixed[1] == fixed[2]
+        assert self.ranking(fixed[0]) == self.ranking(got[0])
 
     def test_untrained_model_ranks_like_chance(self):
         # With random embeddings the true tail is an arbitrary entity, so
@@ -1271,13 +1279,13 @@ class TestEvaluate:
 # Trains a UMLS-shaped graph (135 entities, 46 relations, 5,216 / 652 / 661
 # triples) for one epoch with the default config, validation included,
 # evaluates its test split, and prints the names of the live threads; then
-# evaluates once more with CHECK_BESIDE_SCORES at 1 and prints them again.
+# evaluates once more with tensor.BESIDE_FROM at 1 and prints them again.
 # The process claims two CPUs, so only the sizes keep the helper away.
 UMLS_EVALUATE = """
 import os, threading
 os.sched_getaffinity = lambda pid: {0, 1}
 import numpy as np
-from catkg import kg, trainer
+from catkg import kg, tensor, trainer
 from catkg.config import TrainConfig
 rng = np.random.default_rng(5)
 triples = np.unique(rng.integers(0, [135, 46, 135], size=(7000, 3)), axis=0)
@@ -1288,7 +1296,7 @@ store = kg.TripleStore.from_splits(
 result = trainer.train(store, TrainConfig(epochs=1, seed=1))
 kg.evaluate(store, result.model, "test")
 print(" ".join(t.name for t in threading.enumerate()))
-kg.CHECK_BESIDE_SCORES = 1
+tensor.BESIDE_FROM = 1
 kg.evaluate(store, result.model, "test")
 print(" ".join(t.name for t in threading.enumerate()))
 """

@@ -508,10 +508,17 @@ def use_cpus(monkeypatch, cpus):
 class TestBeside:
     """``beside`` runs its second callable on the helper or in turn."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_returns_both_results_from_the_expected_threads(self, monkeypatch,
-                                                            cpus):
-        use_cpus(monkeypatch, cpus)
+    def test_beside_from_sits_between_the_umls_and_fb_arrays(self):
+        # UMLS's heads and largest split against FB15k-237's valid view
+        # and 512-row head; at d = 64, BESIDE_FROM entries of a head are
+        # 2^24 multiply-adds.
+        assert 512 * 135 < 661 * 135 < T.BESIDE_FROM
+        assert T.BESIDE_FROM <= 256 * 14541 <= 512 * 14541
+        assert T.BESIDE_FROM * 64 == 2 ** 24
+
+    @staticmethod
+    def threads_of(size):
+        """The threads ``beside`` runs main and side on, for ``size``."""
         ran_on = {}
 
         def record(value):
@@ -519,13 +526,41 @@ class TestBeside:
             return value
 
         assert T.beside(lambda: record("main"),
-                        lambda: record("side")) == ("main", "side")
+                        lambda: record("side"), size) == ("main", "side")
+        return ran_on["main"], ran_on["side"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_returns_both_results_from_the_expected_threads(self, monkeypatch,
+                                                            cpus):
+        use_cpus(monkeypatch, cpus)
+        main, side = self.threads_of(T.BESIDE_FROM)
         caller = threading.current_thread().name
-        assert ran_on["main"] == caller
+        assert main == caller
         if cpus == 2:
-            assert ran_on["side"].startswith("catkg-helper")
+            assert side.startswith("catkg-helper")
         else:
-            assert ran_on["side"] == caller
+            assert side == caller
+
+    def test_below_beside_from_side_runs_in_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(T, "BESIDE_FROM", 3)
+        caller = threading.current_thread().name
+        assert self.threads_of(2) == (caller, caller)
+        assert self.threads_of(3)[1].startswith("catkg-helper")
+
+    def test_side_runs_under_the_callers_errstate(self, monkeypatch):
+        # numpy keeps errstate in a context variable, which a pool thread
+        # does not inherit; tier-1 turns the overflow warning into an error.
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
+
+        def side():
+            return threading.current_thread().name, np.float64(1e308) * 10
+
+        with np.errstate(all="ignore"):
+            _, (name, value) = T.beside(lambda: None, side, 1)
+        assert name.startswith("catkg-helper")
+        assert value == np.inf
 
     def test_side_has_finished_when_main_raises(self, monkeypatch):
         # The side waits for main to start, so it is still running when
@@ -543,14 +578,14 @@ class TestBeside:
             raise ValueError("main failed")
 
         with pytest.raises(ValueError, match="main failed"):
-            T.beside(main, side)
+            T.beside(main, side, T.BESIDE_FROM)
         assert done.is_set()
 
 
 class TestInnerRowBlocks:
-    """From INNER_SPLIT_MULADDS, ``inner`` runs two fixed row blocks."""
+    """From BESIDE_FROM entries, ``inner`` runs two fixed row blocks."""
 
-    # B·d·n is just above the threshold. With an odd table the two halves'
+    # B·n is just above BESIDE_FROM. With an odd table the two halves'
     # forward differs in its last bits from the whole GEMM, so a path that
     # skipped the partition would show.
     SPLIT = (64, 64, 4097)
@@ -559,11 +594,8 @@ class TestInnerRowBlocks:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(b, d)), rng.normal(size=(n, d))
 
-    def test_the_threshold_sits_between_the_umls_and_fb_heads(self):
-        assert 512 * 64 * 135 < T.INNER_SPLIT_MULADDS <= 512 * 64 * 14541
-        assert math.prod(self.SPLIT) >= T.INNER_SPLIT_MULADDS
-
     def test_helper_thread_and_in_turn_give_equal_bits(self, monkeypatch):
+        assert self.SPLIT[0] * self.SPLIT[2] >= T.BESIDE_FROM
         q, table = self.operands(*self.SPLIT)
         use_cpus(monkeypatch, 2)
         on_helper = inner_value_and_grads(q, table)
@@ -589,9 +621,14 @@ class TestInnerRowBlocks:
 
     @pytest.mark.parametrize("shape", [(63, 64, 4096), (1, 64, 300_000)],
                              ids=["below", "one_row"])
-    def test_below_the_threshold_it_is_one_whole_gemm(self, shape):
+    def test_below_the_threshold_it_is_one_whole_gemm(self, monkeypatch,
+                                                      shape):
+        use_cpus(monkeypatch, 2)
+        calls = []
+        monkeypatch.setattr(T, "beside", lambda *args: calls.append(args))
         q, table = self.operands(*shape)
         y, gq, gt, g = inner_value_and_grads(q, table)
+        assert not calls
         assert np.array_equal(y, np.matmul(q, table.T))
         assert np.array_equal(gq, g @ table)
         assert np.array_equal(gt, (q.T @ g).T)
@@ -605,7 +642,7 @@ class TestInnerRowBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_gradient(self, monkeypatch, cpus):
-        monkeypatch.setattr(T, "INNER_SPLIT_MULADDS", 1)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
         use_cpus(monkeypatch, cpus)
         q, table = self.operands(5, 3, 6)
         assert T.grad_check(lambda a, b: T.tanh(T.inner(a, b)).sum(),

@@ -543,7 +543,7 @@ print(len(os.sched_getaffinity(0)))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
 def test_one_cpu_and_two_train_the_same_bytes(tmp_path):
-    assert 512 * 8 * 4096 >= T.INNER_SPLIT_MULADDS
+    assert 512 * 4096 >= T.BESIDE_FROM
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -649,6 +649,21 @@ class TestExportRouting:
         for line in out.read_text(encoding="utf-8").splitlines()[1:]:
             if not line.startswith("#"):
                 assert line.endswith("0.0\t1.0\t0.0")
+
+    def test_non_finite_weights_raise_and_leave_no_file(self, store,
+                                                        tmp_path):
+        # Finite parameters that overflow: every query on relation r routes
+        # NaN weights, and the first of them in the split is named.
+        model = KgModel(store.n_entities, store.n_relations, small_cfg())
+        r = int(store.test[-1, 1])
+        h = next(h for h, rel, _ in store.test.tolist() if rel == r)
+        model.relation_emb.data[r] = 1e308
+        model.block.router.lin2.bias.data[:2] = 1e308
+        out = tmp_path / "routing.tsv"
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericsError, match=rf"query \({h}, {r}\) on the 'test'"):
+            export_routing(model, store, "test", out)
+        assert list(tmp_path.iterdir()) == []
 
     def test_never_computes_logits(self, tmp_path, monkeypatch):
         big = build_toy_store(n_entities=40, n_relations=2, n_train=10,
