@@ -1113,6 +1113,12 @@ class TestEvaluate:
         assert all(name.startswith("catkg-helper") if helper
                    else name == caller for name in ran_on)
 
+    def test_check_threshold_sits_between_the_umls_and_fb_batches(self):
+        # UMLS's largest split against FB15k-237's valid view and test
+        # batch; evaluate's scan runs beside from tensor.BESIDE_FROM scores.
+        assert (661 * 135 < T.BESIDE_FROM
+                <= 256 * 14541 <= kg_mod.EVAL_BATCH * 14541)
+
     def test_mrr_and_hits_arithmetic(self):
         # ranks engineered to be 1, 2, 4 -> MRR = (1 + 1/2 + 1/4)/3 = 7/12
         store = build_toy_store(n_entities=4, n_relations=1, n_train=3,

@@ -508,14 +508,6 @@ def use_cpus(monkeypatch, cpus):
 class TestBeside:
     """``beside`` runs its second callable on the helper or in turn."""
 
-    def test_beside_from_sits_between_the_umls_and_fb_arrays(self):
-        # UMLS's heads and largest split against FB15k-237's valid view
-        # and 512-row head; at d = 64, BESIDE_FROM entries of a head are
-        # 2^24 multiply-adds.
-        assert 512 * 135 < 661 * 135 < T.BESIDE_FROM
-        assert T.BESIDE_FROM <= 256 * 14541 <= 512 * 14541
-        assert T.BESIDE_FROM * 64 == 2 ** 24
-
     @staticmethod
     def threads_of(size):
         """The threads ``beside`` runs main and side on, for ``size``."""
@@ -594,8 +586,14 @@ class TestInnerRowBlocks:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(b, d)), rng.normal(size=(n, d))
 
-    def test_helper_thread_and_in_turn_give_equal_bits(self, monkeypatch):
+    def test_the_threshold_sits_between_the_umls_and_fb_heads(self):
+        # A 512-row head against UMLS's and FB15k-237's tables; at d = 64,
+        # BESIDE_FROM entries of a head are 2^24 multiply-adds.
+        assert 512 * 135 < T.BESIDE_FROM <= 512 * 14541
+        assert T.BESIDE_FROM * 64 == 2 ** 24
         assert self.SPLIT[0] * self.SPLIT[2] >= T.BESIDE_FROM
+
+    def test_helper_thread_and_in_turn_give_equal_bits(self, monkeypatch):
         q, table = self.operands(*self.SPLIT)
         use_cpus(monkeypatch, 2)
         on_helper = inner_value_and_grads(q, table)
