@@ -24,12 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from . import tensor as T
 from .attention import VARIANTS
 from .errors import ConfigError, ParseError, PathError
-
-DROPOUT_SITES = ("entity", "relation", "composite")
-ENTROPY_SIGNS = ("subtract", "add")
 
 
 # A range rule, named by the wording of its error message.
@@ -61,7 +57,6 @@ class TrainConfig:
     ff_multiplier: int = _in("model", 2, ">= 1")
     variant: str = _in("model", "cat", VARIANTS)
     curvature: float = _in("model", 1.0, "positive")
-    activation: str = _in("model", "gelu")
     batch_size: int = _in("train", 512, ">= 1")
     epochs: int = _in("train", 200, ">= 1")
     lr: float = _in("train", 0.001, "positive")
@@ -71,12 +66,10 @@ class TrainConfig:
     adam_eps: float = _in("train", 1e-8, "positive")
     grad_clip: float = _in("train", 0.0, ">= 0")  # 0 = no global-norm guard
     dropout: float = _in("train", 0.2, "in [0, 1)")
-    dropout_sites: str = _in("train", "entity,relation,composite")
     label_smoothing: float = _in("train", 0.1, "in [0, 1)")
     lambda_ent_init: float = _in("train", 0.01, ">= 0")
     lambda_ent_decay: float = _in("train", 0.95, "in (0, 1]")
     lambda_ent_min: float = _in("train", 0.001, ">= 0")
-    entropy_sign: str = _in("train", "subtract", ENTROPY_SIGNS)
     plateau_factor: float = _in("train", 0.5, "in (0, 1]")
     plateau_patience: int = _in("train", 10, ">= 1")
     seed: int = _in("train", 0, ">= 0")
@@ -86,12 +79,6 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         validate(self)
-
-    def sites(self) -> tuple[str, ...]:
-        """The dropout sites as a tuple (empty string means none)."""
-        if not self.dropout_sites:
-            return ()
-        return tuple(s.strip() for s in self.dropout_sites.split(","))
 
 
 # Dotted file key -> dataclass field, in serialization (declaration) order.
@@ -157,7 +144,7 @@ def _require(cond: bool, message: str) -> None:
 def validate(cfg: TrainConfig) -> TrainConfig:
     """Raise :class:`ConfigError` at the first value ``cfg`` may not hold:
     types, finiteness and string form first, then each field's rule,
-    then the rest."""
+    then ``model.d``'s divisibility by ``model.heads``."""
     for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
         kind, _, noun = _KINDS[f.type]
@@ -178,12 +165,4 @@ def validate(cfg: TrainConfig) -> TrainConfig:
             _require(_RULES[rule](value), f"{key} must be {rule}, got {value}")
     _require(cfg.d % cfg.heads == 0,
              f"model.d ({cfg.d}) must be divisible by model.heads ({cfg.heads})")
-    T.activation(cfg.activation)  # raises on unknown names
-    sites = cfg.sites()
-    for site in sites:
-        _require(site in DROPOUT_SITES,
-                 f"train.dropout_sites: unknown site {site!r}; "
-                 f"choose from {DROPOUT_SITES}")
-    _require(len(set(sites)) == len(sites),
-             f"train.dropout_sites has duplicates: {cfg.dropout_sites!r}")
     return cfg

@@ -253,11 +253,10 @@ class KgModel(Module):
         self.relation_emb.requires_grad = True
         self.block = build_block(cfg.variant, cfg.d, heads=cfg.heads,
                                  ff_multiplier=cfg.ff_multiplier,
-                                 activation=cfg.activation,
+                                 activation="gelu",
                                  curvature=cfg.curvature, seed=seed_b)
         self.variant = cfg.variant
         self.dropout_p = cfg.dropout
-        self.dropout_sites = cfg.sites()
 
     def parameter_count(self) -> int:
         return parameter_count(self)
@@ -276,15 +275,12 @@ class KgModel(Module):
         if heads.ndim != 1 or heads.shape != relations.shape:
             raise ShapeError(f"heads and relations must be 1-D and of one "
                              f"length, got {heads.shape}, {relations.shape}")
-        sites = self.dropout_sites if training else ()
+        p = self.dropout_p if training else 0.0
 
-        def drop(x: Tensor, site: str) -> Tensor:
-            return T.dropout(x, self.dropout_p, rng=rng) if site in sites else x
-
-        # Drop(h + r), drawing from rng in site order.
-        h = drop(T.embedding(self.entity_emb, heads), "entity")
-        r = drop(T.embedding(self.relation_emb, relations), "relation")
-        x = drop(h + r, "composite")
+        # Drop(Drop(h) + Drop(r)), drawing entity, relation, composite.
+        h = T.dropout(T.embedding(self.entity_emb, heads), p, rng)
+        r = T.dropout(T.embedding(self.relation_emb, relations), p, rng)
+        x = T.dropout(h + r, p, rng)
         y, alpha = self.block.forward(x.reshape(x.shape[0], 1, x.shape[-1]))
         return y.reshape(x.shape[0], y.shape[-1]), alpha
 
@@ -401,19 +397,15 @@ def routing_entropy(alpha: Tensor) -> Tensor:
 
 def total_loss(ce: Tensor, entropy: Tensor, lambda_ent: float,
                sign: str = "subtract") -> Tensor:
-    """Combine the two objectives; the default rewards entropy.
+    """``ce - lambda_ent * entropy``: high-entropy routing lowers the loss.
 
-    ``subtract`` (default) lowers the loss for high-entropy routing;
-    ``add`` penalizes it instead, for replicating the opposite
-    convention.
+    ``subtract`` is the one sign; any other raises :class:`ConfigError`.
     """
     if lambda_ent < 0:
         raise ConfigError(f"lambda_ent must be >= 0, got {lambda_ent}")
-    if sign == "subtract":
-        return ce - lambda_ent * entropy
-    if sign == "add":
-        return ce + lambda_ent * entropy
-    raise ConfigError(f"entropy_sign must be 'subtract' or 'add', got {sign!r}")
+    if sign != "subtract":
+        raise ConfigError(f"the entropy term's sign is 'subtract', got {sign!r}")
+    return ce - lambda_ent * entropy
 
 
 # ---------------------------------------------------------------------------

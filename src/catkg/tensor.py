@@ -440,18 +440,19 @@ def dropout(a, p: float, rng=None) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by
     1/(1-p) so the expected output is the input; evaluation skips it.
 
-    ``rng`` is an integer seed or a ``numpy.random.Generator``. A draw
-    without one raises :class:`ConfigError`: no run draws unseeded.
+    ``rng`` is the ``numpy.random.Generator`` the mask is drawn from.
+    A draw without one (``None`` or an integer seed) raises
+    :class:`ConfigError`: no run draws unseeded, and a seed would repeat
+    one mask at every call.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     a = as_tensor(a)
     if p == 0.0:
         return a
-    if rng is None:
-        raise ConfigError("training-mode dropout needs a seed or a Generator")
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        raise ConfigError(f"training-mode dropout needs a numpy Generator, "
+                          f"got {rng!r}")
     scale = (rng.random(a.shape) >= p) / (1.0 - p)
     return node(a.data * scale, (a,), lambda g: (g * scale,))
 
@@ -678,12 +679,11 @@ def norm(x, floor_sq: float, keepdims: bool = True) -> Tensor:
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "gelu": gelu,
-    "tanh": tanh,
 }
 
 
 def activation(name: str) -> Callable[[Tensor], Tensor]:
-    """Look up a smooth activation by config name."""
+    """Look up a smooth activation by name."""
     try:
         return _ACTIVATIONS[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name

@@ -245,8 +245,7 @@ def train(store: TripleStore, cfg: TrainConfig,
                                         cfg.label_smoothing,
                                         out=grad_buf[:idx.size])
                 if is_cat:
-                    loss = total_loss(loss, routing_entropy(alpha), lam,
-                                      cfg.entropy_sign)
+                    loss = total_loss(loss, routing_entropy(alpha), lam)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise NumericsError(

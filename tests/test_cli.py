@@ -26,8 +26,8 @@ from catkg import cli as cli_mod
 from catkg import trainer as trainer_mod
 from catkg.attention import VARIANTS
 from catkg.cli import _write_manifest, build_parser, main
-from catkg.config import (ENTROPY_SIGNS, KEY_MAP, TrainConfig, load_config,
-                          parse_config, serialize_config, validate)
+from catkg.config import (KEY_MAP, TrainConfig, load_config, parse_config,
+                          serialize_config, validate)
 from catkg.errors import ConfigError, ParseError, PathError
 from catkg import tensor as T
 from catkg.kg import KgModel, evaluate, load_triples
@@ -127,17 +127,16 @@ def trained(tmp_path_factory):
 ALL_KEYS = [
     ("model.d", "d"), ("model.heads", "heads"),
     ("model.ff_multiplier", "ff_multiplier"), ("model.variant", "variant"),
-    ("model.curvature", "curvature"), ("model.activation", "activation"),
+    ("model.curvature", "curvature"),
     ("train.batch_size", "batch_size"), ("train.epochs", "epochs"),
     ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
     ("train.beta1", "beta1"), ("train.beta2", "beta2"),
     ("train.adam_eps", "adam_eps"), ("train.grad_clip", "grad_clip"),
-    ("train.dropout", "dropout"), ("train.dropout_sites", "dropout_sites"),
+    ("train.dropout", "dropout"),
     ("train.label_smoothing", "label_smoothing"),
     ("train.lambda_ent_init", "lambda_ent_init"),
     ("train.lambda_ent_decay", "lambda_ent_decay"),
     ("train.lambda_ent_min", "lambda_ent_min"),
-    ("train.entropy_sign", "entropy_sign"),
     ("train.plateau_factor", "plateau_factor"),
     ("train.plateau_patience", "plateau_patience"), ("train.seed", "seed"),
     ("data.train_path", "train_path"), ("data.valid_path", "valid_path"),
@@ -151,6 +150,8 @@ FLOAT_KEYS = [
     "train.lambda_ent_decay", "train.lambda_ent_min", "train.plateau_factor",
 ]
 
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 STR_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
               if f.type == "str"]
@@ -182,6 +183,22 @@ class TestConfigFormat:
         assert [f.name for f in dataclasses.fields(TrainConfig)] == \
             [name for _, name in ALL_KEYS]
 
+    def test_readme_key_table_matches_the_config(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | rule |") + 2  # past |---|
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, default, _ = (cell.strip() for cell in
+                               line.strip("|").split("|"))
+            rows.append((key.strip("`"), default))
+        written = dict(line.split(" = ", 1) for line in
+                       serialize_config(TrainConfig()).splitlines())
+        assert [key for key, _ in rows] == list(KEY_MAP)
+        assert rows == [(key, f"`{value}`" if value else "empty")
+                        for key, value in written.items()]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_rejected(self, key, value):
@@ -209,13 +226,12 @@ class TestConfigFormat:
     def test_round_trip_is_exact(self):
         cfg = validate(TrainConfig(
             d=32, heads=8, ff_multiplier=3, variant="hyperbolic",
-            curvature=0.5, activation="tanh", batch_size=128, epochs=7,
-            lr=0.003, weight_decay=0.0, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-            grad_clip=1.5, dropout=0.1, dropout_sites="entity",
-            label_smoothing=0.0, lambda_ent_init=0.02, lambda_ent_decay=0.9,
-            lambda_ent_min=0.0, entropy_sign="add", plateau_factor=0.3,
-            plateau_patience=4, seed=9, train_path="a", valid_path="b",
-            test_path="c"))
+            curvature=0.5, batch_size=128, epochs=7, lr=0.003,
+            weight_decay=0.0, beta1=0.8, beta2=0.99, adam_eps=1e-6,
+            grad_clip=1.5, dropout=0.1, label_smoothing=0.0,
+            lambda_ent_init=0.02, lambda_ent_decay=0.9, lambda_ent_min=0.0,
+            plateau_factor=0.3, plateau_patience=4, seed=9, train_path="a",
+            valid_path="b", test_path="c"))
         default = TrainConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name)
                    for f in dataclasses.fields(TrainConfig))
@@ -229,9 +245,18 @@ class TestConfigFormat:
         assert cfg.d == 8 and cfg.heads == 1
 
     def test_unknown_key_is_an_error_not_a_default(self):
-        with pytest.raises(ConfigError) as info:
-            parse_config("model.depth = 3\n", source="x.cfg")
-        assert "x.cfg:1" in str(info.value)
+        # The last three are keys a config could set before the model's
+        # activation, entropy sign and dropout sites became fixed.
+        for text, lineno in [
+                ("model.depth = 3\n", 1),
+                ("model.d = 8\nmodel.activation = gelu\n", 2),
+                ("model.d = 8\ntrain.entropy_sign = subtract\n", 2),
+                ("model.d = 8\ntrain.dropout_sites = entity\n", 2)]:
+            key = text.splitlines()[-1].split(" = ")[0]
+            with pytest.raises(ConfigError) as info:
+                parse_config(text, source="x.cfg")
+            assert str(info.value) == (
+                f"x.cfg:{lineno}: unknown config key {key!r}")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError) as info:
@@ -251,21 +276,13 @@ class TestConfigFormat:
     @pytest.mark.parametrize("line,needle", [
         ("model.d = 6\nmodel.heads = 4", "divisible"),
         ("train.dropout = 1.0", "train.dropout"),
-        ("train.entropy_sign = times", "train.entropy_sign"),
         ("model.variant = toroidal", "model.variant"),
-        ("train.dropout_sites = entity,entity", "duplicates"),
         ("train.lr = -0.1", "train.lr"),
     ])
     def test_range_validation(self, line, needle):
         with pytest.raises(ConfigError) as info:
             parse_config(line + "\n")
         assert needle in str(info.value)
-
-    def test_dropout_sites_parsing(self):
-        cfg = parse_config("train.dropout_sites = entity, composite\n")
-        assert cfg.sites() == ("entity", "composite")
-        empty = parse_config("train.dropout_sites =\n")
-        assert empty.sites() == ()
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(PathError):
@@ -312,15 +329,12 @@ RULED_KEYS = [
     ("train.lambda_ent_init", ">= 0", "-0.01"),
     ("train.lambda_ent_decay", "in (0, 1]", "2.0"),
     ("train.lambda_ent_min", ">= 0", "-1e-9"),
-    ("train.entropy_sign", ENTROPY_SIGNS, "times"),
     ("train.plateau_factor", "in (0, 1]", "0"),
     ("train.plateau_patience", ">= 1", "0"), ("train.seed", ">= 0", "-1"),
 ]
 
 # Values no single field's rule can reject, checked by hand after the rules.
-UNRULED_BAD = [("model.heads", "3"), ("model.activation", "relu"),
-               ("train.dropout_sites", "entty"),
-               ("train.dropout_sites", "entity,entity")]
+UNRULED_BAD = [("model.heads", "3")]
 
 
 # True and False are no count or rate, though bool is an Integral.
@@ -385,8 +399,7 @@ class TestConfigRules:
         ("seed", 1.0, "train.seed: expected an integer, got 1.0"),
         ("lr", "0.1", "train.lr: expected a number, got '0.1'"),
         ("dropout", None, "train.dropout: expected a number, got None"),
-        ("activation", ["gelu"],
-         "model.activation: expected a string, got ['gelu']"),
+        ("variant", ["cat"], "model.variant: expected a string, got ['cat']"),
     ] + BOOL_IS_NO_NUMBER + NOT_A_STRING)
     def test_wrong_type_is_invalid_config(self, name, value, message):
         assert _message(lambda: TrainConfig(**{name: value})) == message
@@ -859,11 +872,13 @@ class TestErrorSurface:
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("model.warp = 9\n", encoding="utf-8")
-        code, _, stderr = run_cli(["train", "--config", str(cfg)])
-        assert code == 1
-        assert stderr.startswith("error: invalid-config: ")
-        assert "bad.cfg:1" in stderr
+        for text, lineno in [("model.warp = 9\n", 1),
+                             ("model.d = 8\nmodel.activation = gelu\n", 2)]:
+            cfg.write_text(text, encoding="utf-8")
+            code, _, stderr = run_cli(["train", "--config", str(cfg)])
+            assert code == 1
+            assert stderr.startswith("error: invalid-config: ")
+            assert f"bad.cfg:{lineno}: unknown config key" in stderr
 
     def test_config_syntax_error_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

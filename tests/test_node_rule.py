@@ -51,7 +51,8 @@ OPS = {
     "arccos": (T.arccos, _values(19, (3, 4))),
     "clip": (lambda a: T.clip(a, lo=0.3, hi=0.7), _values(20, (3, 4))),
     "softmax": (T.softmax, _values(21, (3, 4))),
-    "dropout": (lambda a: T.dropout(a, 0.5, rng=0), _values(22, (3, 4))),
+    "dropout": (lambda a: T.dropout(a, 0.5, rng=np.random.default_rng(0)),
+                _values(22, (3, 4))),
     "embedding": (lambda table: T.embedding(table, [0, 2, 2]),
                   _values(23, (4, 3))),
     "affine": (T.affine, _values(24, (2, 3, 4), (4, 5), (5,))),

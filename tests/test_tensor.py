@@ -101,13 +101,15 @@ class TestDropout:
         x = Tensor(np.arange(6.0))
         assert T.dropout(x, 0.0) is x
 
-    def test_a_draw_needs_a_seed_or_a_generator(self):
+    def test_a_draw_needs_a_generator(self):
         x = Tensor(np.ones(8))
-        with pytest.raises(ConfigError, match="needs a seed or a Generator"):
-            T.dropout(x, 0.5)
-        seeded = T.dropout(x, 0.5, rng=9)
-        drawn = T.dropout(x, 0.5, rng=np.random.default_rng(9))
-        assert np.array_equal(seeded.data, drawn.data)
+        for rng in (None, 9, np.int64(9)):
+            with pytest.raises(ConfigError, match="needs a numpy Generator"):
+                T.dropout(x, 0.5, rng=rng)
+        # Each draw advances the Generator, so successive masks differ.
+        rng = np.random.default_rng(9)
+        first, second = T.dropout(x, 0.5, rng), T.dropout(x, 0.5, rng)
+        assert not np.array_equal(first.data, second.data)
 
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
@@ -115,7 +117,7 @@ class TestDropout:
 
     def test_survivor_fraction(self):
         x = Tensor(np.ones(100_000))
-        out = T.dropout(x, 0.2, rng=123)
+        out = T.dropout(x, 0.2, rng=np.random.default_rng(123))
         survivors = np.count_nonzero(out.data) / x.size
         assert abs(survivors - 0.8) < 0.01
         # inverted scaling: survivors are 1/(1-p)
@@ -394,6 +396,12 @@ class TestFusedOps:
         for g, ref in zip(grads, ref_grads):
             assert g.shape == ref.shape
             assert np.abs(g - ref).max() < 1e-10
+
+    def test_gelu_is_the_one_activation(self):
+        assert T.activation("gelu") is T.gelu
+        for name in ("tanh", "relu", ["gelu"]):
+            with pytest.raises(ConfigError, match=r"choose from \['gelu'\]"):
+                T.activation(name)
 
     def test_affine_rejects_mismatched_shapes(self):
         with pytest.raises(ShapeError):
