@@ -245,8 +245,7 @@ class TestConfigFormat:
         assert cfg.d == 8 and cfg.heads == 1
 
     def test_unknown_key_is_an_error_not_a_default(self):
-        # The last three are keys a config could set before the model's
-        # activation, entropy sign and dropout sites became fixed.
+        # The last three are keys an older config.txt may still hold.
         for text, lineno in [
                 ("model.depth = 3\n", 1),
                 ("model.d = 8\nmodel.activation = gelu\n", 2),
