@@ -5,6 +5,7 @@ are checked against hand-evaluated closed forms (uniform logits give
 exactly ln n for any smoothing level, since the target row sums to 1).
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -417,8 +418,16 @@ class TestCompose:
         assert_allclose(mean, 3.0, rtol=0.15)
 
 
+# Every subset of the three dropout sites, as the written-out query
+# below spells it.
+SITE_SUBSETS = [",".join(subset) for k in range(4) for subset in
+                itertools.combinations(("entity", "relation", "composite"), k)]
+ALL_SITES = "entity,relation,composite"
+
+
 class TestQueryDropoutSites:
-    """``query`` drops entity, relation, then composite, from one rng."""
+    """``query`` drops entity, relation, then composite, from one rng; a
+    query written out to drop at fewer sites is not the one it computes."""
 
     P = 0.3
     HEADS = np.array([0, 5, 9, 5, 11])
@@ -428,39 +437,45 @@ class TestQueryDropoutSites:
         return KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3,
                                           dropout=self.P))
 
-    def reference(self, model, rng):
-        """The query written out from T.embedding and T.dropout; no
-        dropout when ``rng`` is None."""
+    def reference(self, model, sites, rng, p=P):
+        """The query written out from T.embedding and T.dropout, dropping
+        at rate ``p`` at each of ``sites`` in the model's order."""
         h = T.embedding(model.entity_emb, self.HEADS)
         r = T.embedding(model.relation_emb, self.RELS)
-        if rng is not None:
-            h = T.dropout(h, self.P, rng=rng)
-            r = T.dropout(r, self.P, rng=rng)
+        if "entity" in sites:
+            h = T.dropout(h, p, rng=rng)
+        if "relation" in sites:
+            r = T.dropout(r, p, rng=rng)
         x = h + r
-        if rng is not None:
-            x = T.dropout(x, self.P, rng=rng)
+        if "composite" in sites:
+            x = T.dropout(x, p, rng=rng)
         y, alpha = model.block.forward(x.reshape(5, 1, 8))
         return y.reshape(5, 8), alpha
 
-    def test_training_matches_the_written_out_query(self):
+    @pytest.mark.parametrize("sites", SITE_SUBSETS)
+    def test_training_matches_the_written_out_query(self, sites):
+        # Only the query dropping at all three sites is the model's.
         model = self.model()
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         query, alpha = model.query(self.HEADS, self.RELS, training=True,
                                    rng=rng)
-        want, want_alpha = self.reference(model, ref_rng)
-        assert np.array_equal(query.data, want.data)
-        assert np.array_equal(alpha.data, want_alpha.data)
-        assert rng.random() == ref_rng.random()  # as many draws
-        plain, _ = self.reference(model, None)
-        assert not np.array_equal(query.data, plain.data)
+        want, want_alpha = self.reference(model, sites.split(","), ref_rng)
+        every = sites == ALL_SITES
+        assert np.array_equal(query.data, want.data) == every
+        assert np.array_equal(alpha.data, want_alpha.data) == every
+        assert (rng.random() == ref_rng.random()) == every  # as many draws
 
-    def test_eval_mode_draws_nothing(self):
+    @pytest.mark.parametrize("sites", SITE_SUBSETS)
+    def test_eval_mode_draws_nothing(self, sites):
+        # Eval mode is the written-out query at rate 0, and a rate-0 site
+        # draws nothing, whichever sites it passes through.
         model = self.model()
         rng = np.random.default_rng(11)
         state = rng.bit_generator.state
         query, _ = model.query(self.HEADS, self.RELS, training=False, rng=rng)
         assert rng.bit_generator.state == state
-        want, _ = self.reference(model, None)
+        want, _ = self.reference(model, sites.split(","), rng, p=0.0)
+        assert rng.bit_generator.state == state
         assert np.array_equal(query.data, want.data)
 
     @pytest.mark.parametrize("heads,rels", [
