@@ -318,7 +318,10 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     B >= 1 and ``targets`` holds exactly one class index per row.
     One pass over row blocks of about :data:`CE_BLOCK_ELEMENTS` values
     computes the loss and, when the logits need a gradient, the gradient
-    for a unit upstream gradient. It is written into ``out``, a
+    for a unit upstream gradient; from ``tensor.BESIDE_FROM`` logits and
+    B ≥ 2 it runs over rows [0, ⌈B/2⌉) and the rest, the second beside the
+    first (``tensor.in_halves``), and the loss is summed afterwards in the
+    caller. The gradient is written into ``out``, a
     C-contiguous float64 (B, n) array apart from the logits, which holds
     it from the forward onward; the caller may reuse ``out`` only after
     the tape's backward has run. Without ``out`` a new array is allocated.
@@ -354,23 +357,27 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     inv_batch = 1.0 / batch
     shift = np.empty(batch)
     x_sum = np.empty(batch)
-    # Every reduction runs over whole rows, so blocking leaves the sums,
-    # and so the loss and the gradient, bitwise unchanged.
+    # Every reduction runs over whole rows, so blocking and the two halves
+    # leave the sums, and so the loss and the gradient, bitwise unchanged.
     step = max(1, CE_BLOCK_ELEMENTS // n)
-    for start in range(0, batch, step):
-        block = slice(start, start + step)
-        xb = x[block]
-        e = grad[block]
-        top = xb.max(axis=-1, keepdims=True)
-        np.subtract(xb, top, out=e)
-        np.exp(e, out=e)
-        z = e.sum(axis=-1, keepdims=True)
-        shift[block] = (top + np.log(z))[:, 0]
-        xb.sum(axis=-1, out=x_sum[block])
-        if logits.requires_grad:
-            # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
-            e *= inv_batch / z
-            e -= off * inv_batch
+
+    def row_blocks(part: slice) -> None:
+        for start in range(part.start, part.stop, step):
+            block = slice(start, min(start + step, part.stop))
+            xb = x[block]
+            e = grad[block]
+            top = xb.max(axis=-1, keepdims=True)
+            np.subtract(xb, top, out=e)
+            np.exp(e, out=e)
+            z = e.sum(axis=-1, keepdims=True)
+            shift[block] = (top + np.log(z))[:, 0]
+            xb.sum(axis=-1, out=x_sum[block])
+            if logits.requires_grad:
+                # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
+                e *= inv_batch / z
+                e -= off * inv_batch
+
+    T.in_halves(row_blocks, batch, x.size)
     loss = -(on * (x[rows, targets] - shift)
              + off * (x_sum - n * shift)).mean()
     if logits.requires_grad:
@@ -395,16 +402,10 @@ def routing_entropy(alpha: Tensor) -> Tensor:
     return -T.reduce_sum(plogp, axis=-1).mean()
 
 
-def total_loss(ce: Tensor, entropy: Tensor, lambda_ent: float,
-               sign: str = "subtract") -> Tensor:
-    """``ce - lambda_ent * entropy``: high-entropy routing lowers the loss.
-
-    ``subtract`` is the one sign; any other raises :class:`ConfigError`.
-    """
+def total_loss(ce: Tensor, entropy: Tensor, lambda_ent: float) -> Tensor:
+    """``ce - lambda_ent * entropy``: high-entropy routing lowers the loss."""
     if lambda_ent < 0:
         raise ConfigError(f"lambda_ent must be >= 0, got {lambda_ent}")
-    if sign != "subtract":
-        raise ConfigError(f"the entropy term's sign is 'subtract', got {sign!r}")
     return ce - lambda_ent * entropy
 
 

@@ -530,10 +530,13 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
 
 
 # Entries of a (B, n) array from which its work runs in two parts, the
-# second beside the caller: inner's forward and query gradient as two row
-# blocks, evaluate's finiteness scan beside its rank loop. FB15k-237's
-# heads and eval batches (≥ 256 × 14,541) reach it; UMLS's (≤ 661 × 135)
-# stay below, where a second thread costs more than it gives.
+# second beside the caller: inner's forward as two row blocks, its backward
+# as the query gradient beside the table gradient, smoothed_ce_loss's pass
+# as two row blocks, evaluate's finiteness scan beside its rank loop, and
+# AdamW's update of a parameter that large as two row blocks. FB15k-237's
+# heads, eval batches (≥ 256 × 14,541) and entity table (14,541 × 64)
+# reach it; UMLS's (≤ 661 × 135, and no parameter above 2¹⁶ entries) stay
+# below, where a second thread costs more than it gives.
 BESIDE_FROM = 2 ** 18
 
 # The one worker thread that runs beside the caller, and the id of the
@@ -582,6 +585,25 @@ def beside(main: Callable[[], _M], side: Callable[[], _S],
     return first, second
 
 
+def in_halves(work: Callable[[slice], object], rows: int,
+              size: int) -> None:
+    """Call ``work(part)`` on row slices of an array of ``rows`` rows and
+    ``size`` entries that together cover every row once.
+
+    From :data:`BESIDE_FROM` entries and two rows, ``work`` runs over rows
+    [0, ⌈rows/2⌉) and over the rest, the second :func:`beside` the first;
+    else once over all rows in the caller. The partition depends only on
+    the shape, so a result that depends on it does not depend on the
+    number of CPUs. The two calls must write disjoint rows.
+    """
+    if rows < 2 or size < BESIDE_FROM:
+        work(slice(0, rows))
+    else:
+        half = (rows + 1) // 2
+        beside(lambda: work(slice(0, half)), lambda: work(slice(half, rows)),
+               size)
+
+
 def inner(q, table, out: Array | None = None) -> Tensor:
     """``q @ tableᵀ``: (B, d) queries against every row of an (n, d) table.
 
@@ -589,9 +611,10 @@ def inner(q, table, out: Array | None = None) -> Tensor:
     C-contiguous array, which the caller owns and may overwrite once the
     forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
     reads only ``q``, ``table`` and the incoming gradient. From
-    :data:`BESIDE_FROM` entries of the result and B ≥ 2, the forward and
-    ``g @ table`` run as rows [0, ⌈B/2⌉) and the rest, the second
-    :func:`beside` the first; the table gradient stays one GEMM.
+    :data:`BESIDE_FROM` entries of the result and B ≥ 2, the forward runs
+    as rows [0, ⌈B/2⌉) and the rest (:func:`in_halves`), and the backward
+    runs ``g @ table`` whole in the caller while ``(qᵀ @ g)ᵀ`` runs
+    :func:`beside` it; each gradient is one GEMM either way.
     """
     q, table = as_tensor(q), as_tensor(table)
     if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
@@ -599,24 +622,27 @@ def inner(q, table, out: Array | None = None) -> Tensor:
                          f" {q.shape} and {table.shape}")
     (b, d), n = q.shape, table.shape[0]
     check_out(out, (b, n), "inner")
-
-    def by_rows(gemm: Callable[[slice], object]) -> None:
-        # numpy releases the GIL inside BLAS. The partition is fixed, so
-        # the bits do not depend on the number of CPUs.
-        if b < 2 or b * n < BESIDE_FROM:
-            gemm(slice(0, b))
-        else:
-            half = (b + 1) // 2
-            beside(lambda: gemm(slice(0, half)),
-                   lambda: gemm(slice(half, b)), b * n)
-
     y = np.empty((b, n)) if out is None else out
-    by_rows(lambda rows: np.matmul(q.data[rows], table.data.T, out=y[rows]))
+    # numpy releases the GIL inside BLAS.
+    in_halves(lambda rows: np.matmul(q.data[rows], table.data.T,
+                                     out=y[rows]), b, b * n)
 
     def backward_fn(g):
-        gq = np.empty((b, d))
-        by_rows(lambda rows: np.matmul(g[rows], table.data, out=gq[rows]))
-        return gq, (q.data.T @ g).T
+        # Both outputs are allocated here, so the helper allocates nothing.
+        gq, gt = np.empty((b, d)), np.empty((d, n))
+
+        def query_grad():
+            np.matmul(g, table.data, out=gq)
+
+        def table_grad():
+            np.matmul(q.data.T, g, out=gt)
+
+        if b < 2 or b * n < BESIDE_FROM:
+            query_grad()
+            table_grad()
+        else:
+            beside(query_grad, table_grad, b * n)
+        return gq, gt.T
 
     return node(y, (q, table), backward_fn)
 

@@ -40,7 +40,11 @@ class AdamW:
     update over leading-axis row blocks of about
     :data:`ADAMW_BLOCK_ELEMENTS` values, views of the parameter, its
     gradient and moments in any memory order, in two scratch arrays of
-    one block each.
+    one block each. A parameter of ``tensor.BESIDE_FROM`` entries or more
+    (FB15k-237's entity table) with two rows or more updates rows
+    [0, ⌈rows/2⌉) and the rest, the second beside the first
+    (``tensor.in_halves``), each half in its own scratch pair; the update
+    is elementwise, so its bits do not depend on the split.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -69,7 +73,9 @@ class AdamW:
         # A block holds whole rows, so a row wider than a block widens it.
         width = max([ADAMW_BLOCK_ELEMENTS] + [math.prod(p.data.shape[1:])
                                               for p in self.params.values()])
-        scratch = np.empty((2, width))
+        # A scratch pair for each half of a parameter that tensor.in_halves
+        # splits: the half starting at row 0 takes the first.
+        scratch = np.empty((2, 2, width))
         for name, p in self.params.items():
             # atleast_1d views a 0-d array; basic slices below are views.
             data, m, v = (np.atleast_1d(t) for t in
@@ -77,11 +83,16 @@ class AdamW:
             grad = None if p.grad is None else np.atleast_1d(p.grad)
             rows = max(1, ADAMW_BLOCK_ELEMENTS
                        // max(math.prod(data.shape[1:]), 1))
-            for start in range(0, data.shape[0], rows):
-                block = slice(start, start + rows)
-                self._update(data[block], None if grad is None
-                             else grad[block], m[block], v[block],
-                             scratch, bc1, bc2)
+
+            def blocks(part: slice) -> None:
+                pair = scratch[1 if part.start else 0]
+                for start in range(part.start, part.stop, rows):
+                    block = slice(start, min(start + rows, part.stop))
+                    self._update(data[block], None if grad is None
+                                 else grad[block], m[block], v[block],
+                                 pair, bc1, bc2)
+
+            T.in_halves(blocks, data.shape[0], data.size)
 
     def _update(self, p, g, m, v, scratch, bc1, bc2) -> None:
         """One block of the update, in place in ``p``, ``m`` and ``v``."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catkg import tensor as T
 from catkg.kg import TripleStore
 
 
@@ -40,6 +41,26 @@ def write_store_files(store, directory):
                 fh.write(f"{entity[int(h)]}\t{relation[int(r)]}\t{entity[int(t)]}\n")
         paths[name] = str(path)
     return paths
+
+
+def use_cpus(monkeypatch, cpus):
+    """Let the process appear to run on ``cpus`` CPUs."""
+    monkeypatch.setattr(T.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def record_beside(monkeypatch):
+    """Route ``tensor.beside`` through a spy; the returned list gets the
+    ``size`` of every call."""
+    sizes = []
+    beside = T.beside
+
+    def spy(main, side, size):
+        sizes.append(size)
+        return beside(main, side, size)
+
+    monkeypatch.setattr(T, "beside", spy)
+    return sizes
 
 
 @pytest.fixture

@@ -142,7 +142,7 @@ def test_every_differentiable_component_passes_gradient_checks():
     worst["routing_entropy"] = T.grad_check(routing_entropy, [alpha])
     worst["total_loss"] = T.grad_check(
         lambda L, a: total_loss(smoothed_ce_loss(L, targets, 0.1),
-                                routing_entropy(a), 0.01, "subtract"),
+                                routing_entropy(a), 0.01),
         [logits, alpha])
 
     elapsed = time.perf_counter() - started

@@ -31,7 +31,8 @@ from catkg.kg import (LN3, FilterIndex, KgModel, Metrics, evaluate,
                       score_all_tails, smoothed_ce_loss, total_loss)
 from catkg.tensor import Tensor, grad_check
 
-from conftest import build_toy_store, write_store_files
+from conftest import (build_toy_store, record_beside, use_cpus,
+                      write_store_files)
 
 
 def write_lines(path, lines):
@@ -912,6 +913,33 @@ class TestSmoothedCE:
         assert loss.data == ref_loss
         assert np.array_equal(logits.grad, ref_grad)
 
+    # B·n reaches tensor.BESIDE_FROM. The whole pass's CE blocks (13 and
+    # 192 rows) put rows [13, 26) and [192, 384) across the halves' border.
+    @pytest.mark.parametrize("batch, n", [(37, 7085), (512, 512)],
+                             ids=["odd_b", "b512"])
+    @pytest.mark.parametrize("cpus, split", [(1, True), (2, True),
+                                             (2, False)],
+                             ids=["one_cpu", "two_cpus", "whole"])
+    def test_halves_match_the_whole_array_passes(self, monkeypatch, batch, n,
+                                                 cpus, split):
+        assert batch * n >= T.BESIDE_FROM
+        use_cpus(monkeypatch, cpus)
+        if not split:
+            monkeypatch.setattr(T, "BESIDE_FROM", batch * n + 1)
+        sizes = record_beside(monkeypatch)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(batch, n)) * 30.0
+        targets = rng.integers(n, size=batch)
+        ref_loss, ref_grad = unblocked_smoothed_ce(x, targets, 0.1)
+        logits = Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            loss = smoothed_ce_loss(logits, targets, 0.1,
+                                    out=np.full(x.shape, np.nan))
+        tape.backward(loss)
+        assert sizes == ([batch * n] if split else [])
+        assert loss.data == ref_loss
+        assert np.array_equal(logits.grad, ref_grad)
+
     def test_upstream_gradient_scales_the_unit_gradient(self, monkeypatch):
         monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", 18)
         rng = np.random.default_rng(6)
@@ -998,7 +1026,7 @@ class TestRoutingEntropy:
 class TestTotalLoss:
     def test_subtract_rewards_entropy(self):
         ce = Tensor(np.array(2.0))
-        out = total_loss(ce, Tensor(np.array(LN3)), 0.01, sign="subtract")
+        out = total_loss(ce, Tensor(np.array(LN3)), 0.01)
         assert_allclose(float(out.data), 2.0 - 0.01 * LN3, rtol=1e-15)
 
     def test_uniform_vs_one_hot_gap_is_lambda_ln3(self):
@@ -1018,9 +1046,6 @@ class TestTotalLoss:
         ce, h = Tensor(np.array(1.0)), Tensor(np.array(0.5))
         with pytest.raises(ConfigError):
             total_loss(ce, h, -0.1)
-        for sign in ("multiply", "add"):  # subtract is the one sign
-            with pytest.raises(ConfigError, match=f"got '{sign}'"):
-                total_loss(ce, h, 0.1, sign=sign)
 
 
 def brute_force_rank(scores, t, known_tails):
@@ -1098,8 +1123,7 @@ class TestEvaluate:
         """Let the process use ``cpus`` CPUs and, unless None, set
         tensor.BESIDE_FROM to ``threshold``. The returned list gets the
         name of the thread that ran each batch's finiteness scan."""
-        monkeypatch.setattr(T.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
+        use_cpus(monkeypatch, cpus)
         if threshold is not None:
             monkeypatch.setattr(T, "BESIDE_FROM", threshold)
         ran_on = []

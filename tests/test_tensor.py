@@ -20,6 +20,8 @@ from catkg.errors import (ConfigError, IndexLookupError, NumericsError,
                           ParseError, ShapeError)
 from catkg.tensor import Tape, Tensor
 
+from conftest import record_beside, use_cpus
+
 
 def numeric_grad(fn, x, step=1e-6):
     """Independent central-difference gradient of a scalar fn of one array."""
@@ -507,12 +509,6 @@ def inner_value_and_grads(q, table):
     return y.data, qt.grad, tt.grad, g
 
 
-def use_cpus(monkeypatch, cpus):
-    """Let the process appear to run on ``cpus`` CPUs."""
-    monkeypatch.setattr(T.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-
-
 class TestBeside:
     """``beside`` runs its second callable on the helper or in turn."""
 
@@ -621,8 +617,27 @@ class TestInnerRowBlocks:
         half = (b + 2) // 2
         assert np.array_equal(y[:half], q[:half] @ table.T)
         assert np.array_equal(y[half:], q[half:] @ table.T)
-        assert np.array_equal(gq[:half], g[:half] @ table)
-        assert np.array_equal(gq[half:], g[half:] @ table)
+        # The backward's two GEMMs run whole, side by side.
+        assert np.array_equal(gq, g @ table)
+        assert np.array_equal(gt, (q.T @ g).T)
+
+    @pytest.mark.parametrize("cpus, split", [(1, True), (2, True),
+                                             (2, False)],
+                             ids=["one_cpu", "two_cpus", "whole"])
+    def test_gradients_do_not_depend_on_the_path(self, monkeypatch, cpus,
+                                                 split):
+        # Each gradient is one GEMM whether the two run side by side, in
+        # turn, or below the threshold, where the forward is one GEMM too.
+        b, d, n = self.SPLIT
+        q, table = self.operands(b + 1, d, n)
+        use_cpus(monkeypatch, cpus)
+        if not split:
+            monkeypatch.setattr(T, "BESIDE_FROM", (b + 1) * n + 1)
+        sizes = record_beside(monkeypatch)
+        _, gq, gt, g = inner_value_and_grads(q, table)
+        # Forward halves, then the backward pair.
+        assert sizes == ([(b + 1) * n] * 2 if split else [])
+        assert np.array_equal(gq, g @ table)
         assert np.array_equal(gt, (q.T @ g).T)
 
     @pytest.mark.parametrize("shape", [(63, 64, 4096), (1, 64, 300_000)],

@@ -30,7 +30,7 @@ from catkg.trainer import (AdamW, EpochRecord, PlateauScheduler,
                            anneal_lambda, clip_gradients, export_routing,
                            load_model, save_model, train)
 
-from conftest import build_toy_store
+from conftest import build_toy_store, record_beside, use_cpus
 
 
 def record_out_buffers(monkeypatch):
@@ -194,6 +194,42 @@ class TestAdamW:
                 assert np.array_equal(p.data, ref[k]), (step, k)
                 assert np.array_equal(opt._m[k], ref_m[k]), (step, k)
                 assert np.array_equal(opt._v[k], ref_v[k]), (step, k)
+
+    @pytest.mark.parametrize("cpus, split", [(1, True), (2, True),
+                                             (2, False)],
+                             ids=["one_cpu", "two_cpus", "whole"])
+    def test_halves_match_the_whole_array_update(self, monkeypatch, cpus,
+                                                 split):
+        # Two parameters reach tensor.BESIDE_FROM entries. The table's
+        # halves are 2,049 and 2,048 rows, so its whole pass's block of
+        # rows [2048, 2560) crosses the border.
+        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        shapes = {"table": (4097, 64), "long": (300_001,), "w": (4, 4)}
+        big = [k for k, s in shapes.items() if math.prod(s) >= T.BESIDE_FROM]
+        assert big == ["table", "long"]
+        use_cpus(monkeypatch, cpus)
+        if not split:
+            monkeypatch.setattr(T, "BESIDE_FROM", 300_002)
+        sizes = record_beside(monkeypatch)
+        rng = np.random.default_rng(23)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamW(params, lr, wd, b1, b2, eps)
+        for step in range(1, 4):
+            for k, p in params.items():
+                p.grad = (None if k == "table" and step == 2
+                          else rng.normal(size=shapes[k]))
+                whole_array_update(ref[k], p.grad, ref_m[k], ref_v[k], step,
+                                   lr, wd, b1, b2, eps)
+            opt.step()
+            for k, p in params.items():
+                assert np.array_equal(p.data, ref[k]), (step, k)
+                assert np.array_equal(opt._m[k], ref_m[k]), (step, k)
+                assert np.array_equal(opt._v[k], ref_v[k]), (step, k)
+        assert sizes == ([4097 * 64, 300_001] * 3 if split else [])
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_parameter_is_updated_in_place(self, layout):
@@ -506,7 +542,7 @@ class TestTrainLoop:
             with Tape() as tape:
                 _, alpha = model.score(heads, rels)
                 loss = total_loss(Tensor(np.array(0.0)),
-                                  routing_entropy(alpha), 0.1, "subtract")
+                                  routing_entropy(alpha), 0.1)
             tape.backward(loss)
             opt.step()
         assert entropy_now() > before
