@@ -14,8 +14,7 @@ from catkg.kg import routing_entropy, LN3
 from catkg.tensor import Tensor
 
 rng = np.random.default_rng(3)
-block = CatBlock(d=8, heads=2, ff_multiplier=2, activation="gelu",
-                 curvature=1.0, seed=42)
+block = CatBlock(d=8, heads=2, ff_multiplier=2, curvature=1.0, seed=42)
 
 x = Tensor(rng.normal(size=(1, 5, 8)) * 0.5)
 out, alpha = block.forward(x)

@@ -55,7 +55,7 @@ class Module:
     :meth:`parameters` walks the instance attributes in assignment order:
     a :class:`Tensor` is a parameter named by its attribute, and a
     ``Module`` adds its own parameters under ``<attr>.``. Anything else
-    (activation functions, numbers, names, containers) is skipped.
+    (functions, numbers, names, containers) is skipped.
     """
 
     def parameters(self) -> dict[str, Tensor]:
@@ -91,24 +91,21 @@ class LayerNorm(Module):
 
 
 class FeedForward(Module):
-    """Two affine maps around one smooth nonlinearity."""
+    """Two affine maps around a GELU: ``lin2(gelu(lin1(x)))``."""
 
-    def __init__(self, d_in: int, d_hidden: int, d_out: int,
-                 activation: str, seed: int):
+    def __init__(self, d_in: int, d_hidden: int, d_out: int, seed: int):
         s1, s2 = T.derive_seeds(seed, 2)
         self.lin1 = Linear(d_in, d_hidden, s1)
         self.lin2 = Linear(d_hidden, d_out, s2)
-        self.act = T.activation(activation)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self.act(self.lin1(x)))
+        return self.lin2(T.gelu(self.lin1(x)))
 
 
 class EuclideanBranch(Module):
     """Multi-head dot-product attention layer with post-norm residuals."""
 
-    def __init__(self, d: int, heads: int, ff_multiplier: int,
-                 activation: str, seed: int):
+    def __init__(self, d: int, heads: int, ff_multiplier: int, seed: int):
         if heads < 1 or d % heads != 0:
             raise ConfigError(
                 f"model dim {d} is not divisible by head count {heads}")
@@ -122,7 +119,7 @@ class EuclideanBranch(Module):
         self.wo = Linear(d, d, so)
         self.ln1 = LayerNorm(d)
         self.ln2 = LayerNorm(d)
-        self.ff = FeedForward(d, ff_multiplier * d, d, activation, sf)
+        self.ff = FeedForward(d, ff_multiplier * d, d, sf)
 
     def _split_heads(self, x: Tensor, batch: int, n: int) -> Tensor:
         return x.reshape(batch, n, self.heads, self.d_head).swapaxes(1, 2)
@@ -158,14 +155,14 @@ class HyperbolicBranch(Module):
     """
 
     def __init__(self, d: int, curvature: float, ff_multiplier: int,
-                 activation: str, seed: int):
+                 seed: int):
         self.c = M.check_curvature(curvature)
         # Longest tangent vector exp0 maps inside the projected ball.
         self.r_max = math.atanh(1.0 - M.BOUNDARY_EPS) / math.sqrt(self.c)
         sq, sv, sf = T.derive_seeds(seed, 3)
         self.wq = Linear(d, d, sq)
         self.wv = Linear(d, d, sv)
-        self.ff = FeedForward(d, ff_multiplier * d, d, activation, sf)
+        self.ff = FeedForward(d, ff_multiplier * d, d, sf)
 
     def attend(self, x: Tensor) -> Tensor:
         """Row-stochastic (B, N, N) weights from pairwise ball distances."""
@@ -193,11 +190,10 @@ class HyperbolicBranch(Module):
 class SphericalBranch(Module):
     """Attention by cosine similarity between sphere-lifted tokens."""
 
-    def __init__(self, d: int, ff_multiplier: int, activation: str,
-                 seed: int):
+    def __init__(self, d: int, ff_multiplier: int, seed: int):
         # Tangent vectors at the pole live in R^{d+1}; the feed-forward
         # brings the output back to width d.
-        self.ff = FeedForward(d + 1, ff_multiplier * d, d, activation, seed)
+        self.ff = FeedForward(d + 1, ff_multiplier * d, d, seed)
 
     def lift(self, x: Tensor) -> Tensor:
         """Map tokens onto the sphere through the zero-padded tangent."""
@@ -223,10 +219,10 @@ class SphericalBranch(Module):
 
 
 class Router(FeedForward):
-    """Feed-forward to three logits + softmax: per-token branch weights."""
+    """Width-d feed-forward to 3 logits + softmax: per-token branch weights."""
 
-    def __init__(self, d: int, d_hidden: int, activation: str, seed: int):
-        super().__init__(d, d_hidden, 3, activation, seed)
+    def __init__(self, d: int, seed: int):
+        super().__init__(d, d, 3, seed)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.softmax(super().__call__(x), axis=-1)
@@ -249,14 +245,12 @@ class CatBlock(Module):
     branch_names = ("euclidean", "hyperbolic", "spherical")
 
     def __init__(self, d: int, heads: int, ff_multiplier: int,
-                 activation: str, curvature: float, seed: int):
+                 curvature: float, seed: int):
         se, sh, ss, sr = T.derive_seeds(seed, 4)
-        self.euclidean = EuclideanBranch(d, heads, ff_multiplier,
-                                         activation, se)
-        self.hyperbolic = HyperbolicBranch(d, curvature, ff_multiplier,
-                                           activation, sh)
-        self.spherical = SphericalBranch(d, ff_multiplier, activation, ss)
-        self.router = Router(d, d, activation, sr)
+        self.euclidean = EuclideanBranch(d, heads, ff_multiplier, se)
+        self.hyperbolic = HyperbolicBranch(d, curvature, ff_multiplier, sh)
+        self.spherical = SphericalBranch(d, ff_multiplier, ss)
+        self.router = Router(d, sr)
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
         alpha = self.router(x)
@@ -286,20 +280,19 @@ class SingleGeometryBlock(Module):
 
 
 def build_block(variant: str, d: int, *, heads: int, ff_multiplier: int,
-                activation: str, curvature: float, seed: int):
+                curvature: float, seed: int):
     """Construct the block for a model variant tag."""
     if variant == "cat":
-        return CatBlock(d, heads, ff_multiplier, activation, curvature, seed)
+        return CatBlock(d, heads, ff_multiplier, curvature, seed)
     if variant == "euclidean":
         return SingleGeometryBlock(
-            variant, EuclideanBranch(d, heads, ff_multiplier, activation, seed))
+            variant, EuclideanBranch(d, heads, ff_multiplier, seed))
     if variant == "hyperbolic":
         return SingleGeometryBlock(
-            variant, HyperbolicBranch(d, curvature, ff_multiplier, activation,
-                                      seed))
+            variant, HyperbolicBranch(d, curvature, ff_multiplier, seed))
     if variant == "spherical":
         return SingleGeometryBlock(
-            variant, SphericalBranch(d, ff_multiplier, activation, seed))
+            variant, SphericalBranch(d, ff_multiplier, seed))
     raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
 
 

@@ -1,11 +1,12 @@
 """Knowledge-graph link prediction: data, model, losses, and ranking.
 
 Triples are (head, relation, tail). The model embeds head and relation,
-composes them as ``Drop(h + r)``, runs the result through the attention
-block as a single-token sequence, and scores the output against every
-entity embedding by dot product. Evaluation uses the filtered ranking
-protocol: when ranking the true tail of (h, r, t), every other tail t'
-known to complete (h, r, ·) in any split is masked out first.
+composes them as ``Drop(Drop(h) + Drop(r))`` (dropout acts in training
+only), runs the result through the attention block as a single-token
+sequence, and scores the output against every entity embedding by dot
+product. Evaluation uses the filtered ranking protocol: when ranking the
+true tail of (h, r, t), every other tail t' known to complete (h, r, ·)
+in any split is masked out first.
 """
 
 from __future__ import annotations
@@ -253,7 +254,6 @@ class KgModel(Module):
         self.relation_emb.requires_grad = True
         self.block = build_block(cfg.variant, cfg.d, heads=cfg.heads,
                                  ff_multiplier=cfg.ff_multiplier,
-                                 activation="gelu",
                                  curvature=cfg.curvature, seed=seed_b)
         self.variant = cfg.variant
         self.dropout_p = cfg.dropout

@@ -43,14 +43,20 @@ def check_curvature(c) -> float:
     return c
 
 
-def safe_norm(x, keepdims: bool = True) -> Tensor:
-    """Euclidean norm over the last axis, floored away from exact zero."""
-    return T.norm(x, _NORM_FLOOR_SQ, keepdims)
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """The values of :func:`safe_norm` for an array, off the tape."""
     return np.sqrt((a * a).sum(axis=-1, keepdims=True) + _NORM_FLOOR_SQ)
+
+
+def safe_norm(x, keepdims: bool = True) -> Tensor:
+    """Euclidean norm ``sqrt(sum(x²) + 1e-32)`` over the last axis.
+
+    The floor keeps the gradient ``g·x/n`` finite at the zero vector.
+    """
+    x = T.as_tensor(x)
+    n = _row_norms(x.data)
+    return T.node(n if keepdims else n[..., 0], (x,),
+                  lambda g: (x.data * (g.reshape(n.shape) / n),))
 
 
 # ---------------------------------------------------------------------------

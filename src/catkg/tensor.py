@@ -692,32 +692,6 @@ def gelu(x) -> Tensor:
     return node(x.data * 0.5 * two_cdf, (x,), backward_fn)
 
 
-def norm(x, floor_sq: float, keepdims: bool = True) -> Tensor:
-    """Euclidean norm ``sqrt(sum(x²) + floor_sq)`` over the last axis.
-
-    A positive ``floor_sq`` keeps the gradient ``g·x/n`` finite at 0.
-    """
-    x = as_tensor(x)
-    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + floor_sq)
-    return node(n if keepdims else n[..., 0], (x,),
-                lambda g: (x.data * (g.reshape(n.shape) / n),))
-
-
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "gelu": gelu,
-}
-
-
-def activation(name: str) -> Callable[[Tensor], Tensor]:
-    """Look up a smooth activation by name."""
-    try:
-        return _ACTIVATIONS[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ConfigError(
-            f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # Initialisation
 # ---------------------------------------------------------------------------

@@ -110,11 +110,11 @@ def test_every_differentiable_component_passes_gradient_checks():
     # rotating pair of parameter tensors per instance ---
     d = 6
     components = {
-        "euclidean_branch": EuclideanBranch(d, 2, 2, "gelu", seed=7),
-        "hyperbolic_branch": HyperbolicBranch(d, 1.0, 2, "gelu", seed=8),
-        "spherical_branch": SphericalBranch(d, 2, "gelu", seed=9),
+        "euclidean_branch": EuclideanBranch(d, 2, 2, seed=7),
+        "hyperbolic_branch": HyperbolicBranch(d, 1.0, 2, seed=8),
+        "spherical_branch": SphericalBranch(d, 2, seed=9),
     }
-    block = CatBlock(d, 2, 2, "gelu", 1.0, seed=10)
+    block = CatBlock(d, 2, 2, 1.0, seed=10)
     forwards = {name: mod for name, mod in components.items()}
     forwards["cat_block"] = lambda t: block.forward(t)[0]
     param_sets = {name: sorted(mod.parameters().items())
@@ -201,7 +201,7 @@ def test_manifold_identities_hold_at_pinned_tolerances():
 
 def test_one_hot_routing_collapses_to_fixed_branches():
     rng = np.random.default_rng(103)
-    block = CatBlock(8, 2, 2, "gelu", 1.0, seed=21)
+    block = CatBlock(8, 2, 2, 1.0, seed=21)
     x = Tensor(rng.normal(size=(100, 4, 8)) * 0.5)
     worst = 0.0
     for i, name in enumerate(CatBlock.branch_names):

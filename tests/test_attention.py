@@ -27,8 +27,7 @@ def tokens(rng, batch=2, n=5, d=8, scale=0.5):
 
 
 def make_cat(d=8, seed=11):
-    return CatBlock(d, heads=2, ff_multiplier=2, activation="gelu",
-                    curvature=1.0, seed=seed)
+    return CatBlock(d, heads=2, ff_multiplier=2, curvature=1.0, seed=seed)
 
 
 class TestLinearAndCounts:
@@ -48,14 +47,14 @@ class TestLinearAndCounts:
 
     def test_parameter_count_euclidean_closed_form(self):
         d, heads, mult = 8, 2, 2
-        branch = EuclideanBranch(d, heads, mult, "gelu", seed=0)
+        branch = EuclideanBranch(d, heads, mult, seed=0)
         projections = 4 * (d * d + d)
         norms = 2 * 2 * d
         ff = (d * mult * d + mult * d) + (mult * d * d + d)
         assert parameter_count(branch) == projections + norms + ff
 
     def test_parameter_names_are_prefixed(self):
-        branch = EuclideanBranch(8, 2, 2, "gelu", seed=0)
+        branch = EuclideanBranch(8, 2, 2, seed=0)
         names = set(branch.parameters())
         assert {"wq.weight", "wq.bias", "ln1.gamma", "ff.lin1.weight",
                 "ff.lin2.bias"} <= names
@@ -67,7 +66,7 @@ class TestModule:
             def __init__(self):
                 self.scale = 2.0
                 self.b = Tensor(np.zeros(2))
-                self.act = T.activation("gelu")
+                self.act = T.gelu
                 self.a = Tensor(np.zeros(3))
                 self.shape = (2, 3)
 
@@ -88,8 +87,8 @@ class TestModule:
         assert params["y"] is outer.y
 
     def test_router_is_a_feed_forward_to_three_logits(self):
-        router = Router(8, 6, "gelu", seed=16)
-        ff = FeedForward(8, 6, 3, "gelu", seed=16)
+        router = Router(8, seed=16)
+        ff = FeedForward(8, 8, 3, seed=16)
         assert list(router.parameters()) == list(ff.parameters())
         for name, p in router.parameters().items():
             assert np.array_equal(p.data, ff.parameters()[name].data)
@@ -101,13 +100,13 @@ class TestModule:
 class TestEuclideanBranch:
     def test_rejects_bad_head_split(self):
         with pytest.raises(ConfigError):
-            EuclideanBranch(5, 2, 2, "gelu", seed=0)
+            EuclideanBranch(5, 2, 2, seed=0)
         with pytest.raises(ConfigError):
-            EuclideanBranch(8, 0, 2, "gelu", seed=0)
+            EuclideanBranch(8, 0, 2, seed=0)
 
     def test_single_head_matches_numpy_rederivation(self):
         rng = np.random.default_rng(0)
-        branch = EuclideanBranch(4, 1, 2, "gelu", seed=5)
+        branch = EuclideanBranch(4, 1, 2, seed=5)
         x = rng.normal(size=(3, 2, 4))
 
         q = x @ branch.wq.weight.data + branch.wq.bias.data
@@ -124,7 +123,7 @@ class TestEuclideanBranch:
 
     def test_weights_are_row_stochastic(self):
         rng = np.random.default_rng(1)
-        branch = EuclideanBranch(8, 4, 2, "gelu", seed=2)
+        branch = EuclideanBranch(8, 4, 2, seed=2)
         _, w = branch.attend(Tensor(tokens(rng, d=8) * 3))
         assert w.shape == (2, 4, 5, 5)
         assert np.abs(w.data.sum(-1) - 1.0).max() < 1e-9
@@ -132,20 +131,20 @@ class TestEuclideanBranch:
 
     def test_single_token_attends_to_itself(self):
         rng = np.random.default_rng(2)
-        branch = EuclideanBranch(8, 2, 2, "gelu", seed=3)
+        branch = EuclideanBranch(8, 2, 2, seed=3)
         _, w = branch.attend(Tensor(tokens(rng, n=1)))
         assert np.all(w.data == 1.0)
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(3)
-        branch = EuclideanBranch(8, 2, 2, "gelu", seed=4)
+        branch = EuclideanBranch(8, 2, 2, seed=4)
         assert branch(Tensor(tokens(rng))).shape == (2, 5, 8)
 
 
 class TestHyperbolicBranch:
     def test_weights_are_row_stochastic(self):
         rng = np.random.default_rng(4)
-        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=5)
+        branch = HyperbolicBranch(8, 1.0, 2, seed=5)
         w = branch.attend(Tensor(tokens(rng)))
         assert w.shape == (2, 5, 5)
         assert np.abs(w.data.sum(-1) - 1.0).max() < 1e-9
@@ -155,14 +154,14 @@ class TestHyperbolicBranch:
         # d(q_i, q_i) = 0 is the smallest distance in its row, so the
         # diagonal carries the largest weight.
         rng = np.random.default_rng(5)
-        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=6)
+        branch = HyperbolicBranch(8, 1.0, 2, seed=6)
         w = branch.attend(Tensor(tokens(rng))).data
         diag = np.diagonal(w, axis1=-2, axis2=-1)
         assert np.all(diag >= w.max(-1) - 1e-12)
 
     def test_matches_step_by_step_manifold_evaluation(self):
         rng = np.random.default_rng(6)
-        branch = HyperbolicBranch(6, 1.0, 2, "gelu", seed=7)
+        branch = HyperbolicBranch(6, 1.0, 2, seed=7)
         x = tokens(rng, batch=2, n=3, d=6)
         c = branch.c
 
@@ -191,7 +190,7 @@ class TestHyperbolicBranch:
 
     def test_single_token_skips_mixing(self):
         rng = np.random.default_rng(7)
-        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=8)
+        branch = HyperbolicBranch(8, 1.0, 2, seed=8)
         x = tokens(rng, n=1)
         assert np.all(branch.attend(Tensor(x)).data == 1.0)
         v = M.project_ball(M.exp0(branch.wv(Tensor(x)), branch.c), branch.c)
@@ -201,14 +200,14 @@ class TestHyperbolicBranch:
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(8)
-        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=9)
+        branch = HyperbolicBranch(8, 1.0, 2, seed=9)
         assert branch(Tensor(tokens(rng))).shape == (2, 5, 8)
 
 
 class TestSphericalBranch:
     def test_lift_closed_form(self):
         rng = np.random.default_rng(9)
-        branch = SphericalBranch(4, 2, "gelu", seed=10)
+        branch = SphericalBranch(4, 2, seed=10)
         x = rng.normal(size=(1, 1, 4))
         n = np.linalg.norm(x[0, 0])
         expected = np.concatenate([np.sin(n) / n * x[0, 0], [np.cos(n)]])
@@ -217,7 +216,7 @@ class TestSphericalBranch:
 
     def test_lifted_points_are_unit_norm(self):
         rng = np.random.default_rng(10)
-        branch = SphericalBranch(8, 2, "gelu", seed=11)
+        branch = SphericalBranch(8, 2, seed=11)
         pts, w = branch.attend(Tensor(tokens(rng)))
         assert np.abs(np.linalg.norm(pts.data, axis=-1) - 1.0).max() < 1e-9
         assert np.abs(w.data.sum(-1) - 1.0).max() < 1e-9
@@ -226,7 +225,7 @@ class TestSphericalBranch:
         # Pairwise scores before the softmax are inner products of unit
         # vectors, hence bounded by 1 in magnitude.
         rng = np.random.default_rng(11)
-        branch = SphericalBranch(8, 2, "gelu", seed=12)
+        branch = SphericalBranch(8, 2, seed=12)
         pts, _ = branch.attend(Tensor(tokens(rng)))
         gram = pts.data @ pts.data.swapaxes(-1, -2)
         assert np.abs(gram).max() <= 1.0 + 1e-12
@@ -234,7 +233,7 @@ class TestSphericalBranch:
                         rtol=0, atol=1e-12)
 
     def test_identical_tokens_pool_to_the_same_point(self):
-        branch = SphericalBranch(6, 2, "gelu", seed=13)
+        branch = SphericalBranch(6, 2, seed=13)
         row = np.full((1, 4, 6), 0.3)
         pts, w = branch.attend(Tensor(row))
         assert_allclose(w.data, 0.25, rtol=0, atol=1e-12)
@@ -243,7 +242,7 @@ class TestSphericalBranch:
 
     def test_single_token_reduces_to_ff_of_lifted_tangent(self):
         rng = np.random.default_rng(12)
-        branch = SphericalBranch(8, 2, "gelu", seed=14)
+        branch = SphericalBranch(8, 2, seed=14)
         x = tokens(rng, n=1)
         pad = np.zeros(x.shape[:-1] + (1,))
         expected = branch.ff(Tensor(np.concatenate([x, pad], axis=-1))).data
@@ -251,7 +250,7 @@ class TestSphericalBranch:
 
     def test_output_width_drops_back_to_d(self):
         rng = np.random.default_rng(13)
-        branch = SphericalBranch(8, 2, "gelu", seed=15)
+        branch = SphericalBranch(8, 2, seed=15)
         assert branch(Tensor(tokens(rng))).shape == (2, 5, 8)
 
     def test_tokens_with_norm_near_pi_stay_finite(self):
@@ -259,7 +258,7 @@ class TestSphericalBranch:
         # log map alone rejects; the chart retraction must absorb it so
         # training on drifting embeddings cannot crash mid-epoch.
         rng = np.random.default_rng(40)
-        branch = SphericalBranch(8, 2, "gelu", seed=41)
+        branch = SphericalBranch(8, 2, seed=41)
         direction = rng.normal(size=(1, 1, 8))
         direction /= np.linalg.norm(direction)
         for norm in (np.pi - 3e-4, np.pi, np.pi + 3e-4):
@@ -328,7 +327,7 @@ class TestOneTokenClosedForms:
 
     @pytest.mark.parametrize("d,heads,batch", [(8, 2, 13), (64, 4, 128)])
     def test_euclidean_is_bitwise_the_general_path(self, d, heads, batch):
-        branch = EuclideanBranch(d, heads, 2, "gelu", seed=51)
+        branch = EuclideanBranch(d, heads, 2, seed=51)
         x = np.random.default_rng(52).normal(size=(batch, 1, d))
         (y, gx, grads), (y0, gx0, grads0) = self._both(
             branch, general_euclidean, x)
@@ -342,7 +341,7 @@ class TestOneTokenClosedForms:
                 assert np.array_equal(g, grads0[name]), name
 
     def test_hyperbolic_is_a_radial_clip(self):
-        branch = HyperbolicBranch(8, 1.0, 2, "gelu", seed=53)
+        branch = HyperbolicBranch(8, 1.0, 2, seed=53)
         # |wv(x)| takes each edge norm, then straddles r_max; wv's bias
         # starts at zero, so |wv(x)| scales with the row.
         target = np.array(EDGE_NORMS + (branch.r_max * (1 - 1e-6),
@@ -364,7 +363,7 @@ class TestOneTokenClosedForms:
                                 err_msg=name)
 
     def test_spherical_is_a_radial_fold(self):
-        branch = SphericalBranch(8, 2, "gelu", seed=55)
+        branch = SphericalBranch(8, 2, seed=55)
         norms = np.array(EDGE_NORMS)
         units = unit_rows(norms.size, 8, seed=56)
         x = (units * norms[:, None]).reshape(-1, 1, 8)
@@ -392,22 +391,22 @@ class TestOneTokenClosedForms:
         rng = np.random.default_rng(57)
         x = Tensor(tokens(rng, n=3))
         for branch, general in (
-                (EuclideanBranch(8, 2, 2, "gelu", seed=58), general_euclidean),
-                (HyperbolicBranch(8, 1.0, 2, "gelu", seed=59),
+                (EuclideanBranch(8, 2, 2, seed=58), general_euclidean),
+                (HyperbolicBranch(8, 1.0, 2, seed=59),
                  general_hyperbolic),
-                (SphericalBranch(8, 2, "gelu", seed=60), general_spherical)):
+                (SphericalBranch(8, 2, seed=60), general_spherical)):
             assert np.array_equal(branch(x).data, general(branch, x).data)
 
 
 class TestRouter:
     def test_zero_input_routes_uniformly(self):
-        router = Router(8, 8, "gelu", seed=16)
+        router = Router(8, seed=16)
         alpha = router(Tensor(np.zeros((1, 4, 8)))).data
         assert np.all(alpha == 1.0 / 3.0)
 
     def test_outputs_lie_on_simplex(self):
         rng = np.random.default_rng(14)
-        router = Router(8, 8, "gelu", seed=17)
+        router = Router(8, seed=17)
         alpha = router(Tensor(tokens(rng) * 10)).data
         assert alpha.shape == (2, 5, 3)
         assert np.abs(alpha.sum(-1) - 1.0).max() < 1e-12
@@ -416,7 +415,7 @@ class TestRouter:
     @pytest.mark.parametrize("branch", [0, 1, 2])
     def test_forced_routing_is_exactly_one_hot(self, branch):
         rng = np.random.default_rng(15)
-        router = Router(8, 8, "gelu", seed=18)
+        router = Router(8, seed=18)
         router.force_one_hot(branch)
         alpha = router(Tensor(tokens(rng) * 5)).data
         expected = np.zeros(3)
@@ -508,7 +507,7 @@ class TestCatBlock:
 class TestBuildBlock:
     def test_cat_variant(self):
         block = build_block("cat", 8, heads=2, ff_multiplier=2,
-                            activation="gelu", curvature=1.0, seed=0)
+                            curvature=1.0, seed=0)
         assert isinstance(block, CatBlock)
 
     @pytest.mark.parametrize("variant,cls",
@@ -517,7 +516,7 @@ class TestBuildBlock:
                               ("spherical", SphericalBranch)])
     def test_fixed_variants(self, variant, cls):
         block = build_block(variant, 8, heads=2, ff_multiplier=2,
-                            activation="gelu", curvature=1.0, seed=0)
+                            curvature=1.0, seed=0)
         assert isinstance(block, SingleGeometryBlock)
         assert isinstance(getattr(block, variant), cls)
         assert all(n.startswith(variant + ".") for n in block.parameters())
@@ -525,7 +524,7 @@ class TestBuildBlock:
     def test_fixed_variant_forward_matches_branch(self):
         rng = np.random.default_rng(22)
         block = build_block("euclidean", 8, heads=2, ff_multiplier=2,
-                            activation="gelu", curvature=1.0, seed=1)
+                            curvature=1.0, seed=1)
         x = Tensor(tokens(rng))
         out, alpha = block.forward(x)
         assert alpha is None
@@ -534,12 +533,12 @@ class TestBuildBlock:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             build_block("toroidal", 8, heads=2, ff_multiplier=2,
-                        activation="gelu", curvature=1.0, seed=0)
+                        curvature=1.0, seed=0)
 
     def test_cat_router_overhead_is_small(self):
         d = 8
         cat = build_block("cat", d, heads=2, ff_multiplier=2,
-                          activation="gelu", curvature=1.0, seed=0)
+                          curvature=1.0, seed=0)
         total = parameter_count(cat)
         parts = sum(parameter_count(getattr(cat, n))
                     for n in ("euclidean", "hyperbolic", "spherical"))
@@ -563,17 +562,17 @@ class TestGradCheckBranches:
 
     def test_euclidean(self):
         rng = np.random.default_rng(23)
-        self._check(EuclideanBranch(6, 2, 2, "gelu", seed=3),
+        self._check(EuclideanBranch(6, 2, 2, seed=3),
                     tokens(rng, batch=1, n=3, d=6))
 
     def test_hyperbolic(self):
         rng = np.random.default_rng(24)
-        self._check(HyperbolicBranch(6, 1.0, 2, "gelu", seed=4),
+        self._check(HyperbolicBranch(6, 1.0, 2, seed=4),
                     tokens(rng, batch=1, n=3, d=6))
 
     def test_spherical(self):
         rng = np.random.default_rng(25)
-        self._check(SphericalBranch(6, 2, "gelu", seed=5),
+        self._check(SphericalBranch(6, 2, seed=5),
                     tokens(rng, batch=1, n=3, d=6))
 
     def test_full_mixture(self):

@@ -738,6 +738,56 @@ class TestParameterInventory:
         assert model.parameter_count() == n_values
         assert all(p.requires_grad for p in params.values())
 
+    def test_checkpoint_names_and_shapes_are_pinned(self):
+        # load_model matches CATW tensors by name, so a constructor that
+        # renames or reshapes a tensor breaks every saved checkpoint.
+        def pairs(variant):
+            model = KgModel(10, 3, TrainConfig(d=8, heads=2, variant=variant))
+            return sorted((k, p.shape) for k, p in model.parameters().items())
+
+        cat = pairs("cat")
+        assert cat == [
+            ("block.euclidean.ff.lin1.bias", (16,)),
+            ("block.euclidean.ff.lin1.weight", (8, 16)),
+            ("block.euclidean.ff.lin2.bias", (8,)),
+            ("block.euclidean.ff.lin2.weight", (16, 8)),
+            ("block.euclidean.ln1.beta", (8,)),
+            ("block.euclidean.ln1.gamma", (8,)),
+            ("block.euclidean.ln2.beta", (8,)),
+            ("block.euclidean.ln2.gamma", (8,)),
+            ("block.euclidean.wk.bias", (8,)),
+            ("block.euclidean.wk.weight", (8, 8)),
+            ("block.euclidean.wo.bias", (8,)),
+            ("block.euclidean.wo.weight", (8, 8)),
+            ("block.euclidean.wq.bias", (8,)),
+            ("block.euclidean.wq.weight", (8, 8)),
+            ("block.euclidean.wv.bias", (8,)),
+            ("block.euclidean.wv.weight", (8, 8)),
+            ("block.hyperbolic.ff.lin1.bias", (16,)),
+            ("block.hyperbolic.ff.lin1.weight", (8, 16)),
+            ("block.hyperbolic.ff.lin2.bias", (8,)),
+            ("block.hyperbolic.ff.lin2.weight", (16, 8)),
+            ("block.hyperbolic.wq.bias", (8,)),
+            ("block.hyperbolic.wq.weight", (8, 8)),
+            ("block.hyperbolic.wv.bias", (8,)),
+            ("block.hyperbolic.wv.weight", (8, 8)),
+            ("block.router.lin1.bias", (8,)),
+            ("block.router.lin1.weight", (8, 8)),
+            ("block.router.lin2.bias", (3,)),
+            ("block.router.lin2.weight", (8, 3)),
+            ("block.spherical.ff.lin1.bias", (16,)),
+            ("block.spherical.ff.lin1.weight", (9, 16)),
+            ("block.spherical.ff.lin2.bias", (8,)),
+            ("block.spherical.ff.lin2.weight", (16, 8)),
+            ("entity_emb", (10, 8)),
+            ("relation_emb", (3, 8)),
+        ]
+        tables = [("entity_emb", (10, 8)), ("relation_emb", (3, 8))]
+        for variant in ("euclidean", "hyperbolic", "spherical"):
+            branch = [pair for pair in cat
+                      if pair[0].startswith(f"block.{variant}.")]
+            assert pairs(variant) == branch + tables
+
 
 class TestSmoothedCE:
     def test_uniform_logits_cost_ln_n_at_any_smoothing(self):

@@ -59,7 +59,7 @@ OPS = {
     "inner": (T.inner, _values(25, (3, 4), (6, 4))),
     "layer_norm": (T.layer_norm, _values(26, (3, 4), (4,), (4,))),
     "gelu": (T.gelu, _values(27, (3, 4))),
-    "norm": (lambda x: T.norm(x, 1e-32), _values(28, (3, 4))),
+    "safe_norm": (M.safe_norm, _values(28, (3, 4))),
     # Rows of norm 0.32, 0.68, 1.06 and 1.44 against a radius of 1: the
     # last two are clipped.
     "radial_clip": (lambda x: M.radial_clip(x, 1.0),
