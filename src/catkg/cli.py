@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -33,7 +34,7 @@ from .attention import VARIANTS
 from .config import TrainConfig, KEY_MAP, load_config, serialize_config
 from .errors import CatkgError, PathError
 from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
-from .tensor import atomic_write
+from .tensor import atomic_write, usable_cpus
 from .trainer import export_routing, load_model, save_model, train
 
 from pathlib import Path
@@ -179,6 +180,12 @@ def _dataset_stanza(cfg: TrainConfig) -> dict:
     return out
 
 
+# The settings of BLAS's own thread pool, recorded in each manifest as set
+# (or null): the bits of a GEMM may depend on them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
 def _config_snapshot(cfg: TrainConfig) -> dict:
     return {key: getattr(cfg, field) for key, field in KEY_MAP.items()}
 
@@ -190,7 +197,10 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "build": {"package": "catkg", "version": __version__,
                   "python": platform.python_version(),
-                  "numpy": np.__version__},
+                  "numpy": np.__version__,
+                  "blas_threads": {var: os.environ.get(var)
+                                   for var in BLAS_THREAD_VARS},
+                  "usable_cpus": usable_cpus()},
         "seed": cfg.seed,
         "config": _config_snapshot(cfg),
         "datasets": _dataset_stanza(cfg),

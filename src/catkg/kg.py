@@ -31,6 +31,14 @@ CE_BLOCK_ELEMENTS = 3 * 2 ** 15
 
 SPLITS = ("train", "valid", "test")
 
+# Rows that the two halves of an eval-mode query align to. A row that a
+# narrow GEMM (the router's map to three logits) computes gets bits that
+# depend on where it sits in its BLAS kernel's tile of 4 to 16 rows, and a
+# one-row GEMM runs as a GEMV. So the first half is a multiple of 16 rows
+# and the second has at least two: every row then keeps its whole-batch bits
+# (rows [0, ⌈B/2⌉) instead change them at about half of all B).
+QUERY_TILE_ROWS = 16
+
 # Queries per forward pass of every eval-mode walk of a split. Alpha is
 # summed batch by batch, so evaluate and export_routing agree bitwise on
 # its means because both slice by this one size.
@@ -269,18 +277,47 @@ class KgModel(Module):
         counts as B = 1); anything else raises :class:`ShapeError`.
         Returns ``(query, alpha)`` with query (B, d) and alpha (B, 1, 3)
         routing weights (None for fixed-geometry variants).
+
+        In eval mode with no :class:`~catkg.tensor.Tape` active on the
+        calling thread and B · n_entities ≥ ``tensor.BESIDE_FROM`` (the
+        size of the scores this query feeds), the block runs over rows
+        [0, h) and the rest, the second ``tensor.beside`` the first, with
+        h = 16·⌈B/32⌉ (:data:`QUERY_TILE_ROWS`) when that leaves two rows
+        or more for the second; both results are then constants. Each row
+        gets the bits it gets in one forward over all B rows.
         """
         heads = np.atleast_1d(T.index_array(heads, "head"))
         relations = np.atleast_1d(T.index_array(relations, "relation"))
         if heads.ndim != 1 or heads.shape != relations.shape:
             raise ShapeError(f"heads and relations must be 1-D and of one "
                              f"length, got {heads.shape}, {relations.shape}")
-        p = self.dropout_p if training else 0.0
+        # Both gathers run whole, so a bad index raises as on one path.
+        h = T.embedding(self.entity_emb, heads)
+        r = T.embedding(self.relation_emb, relations)
+        b, (n, d) = heads.shape[0], self.entity_emb.shape
+        half = QUERY_TILE_ROWS * -(-b // (2 * QUERY_TILE_ROWS))
+        if (training or T.recording() or b - half < 2
+                or b * n < T.BESIDE_FROM):
+            # Drop(Drop(h) + Drop(r)), drawing entity, relation, composite.
+            p = self.dropout_p if training else 0.0
+            h = T.dropout(h, p, rng)
+            r = T.dropout(r, p, rng)
+            return self._block(T.dropout(h + r, p, rng))
+        query = np.empty((b, d))
+        alpha = None if self.variant != "cat" else np.empty((b, 1, 3))
 
-        # Drop(Drop(h) + Drop(r)), drawing entity, relation, composite.
-        h = T.dropout(T.embedding(self.entity_emb, heads), p, rng)
-        r = T.dropout(T.embedding(self.relation_emb, relations), p, rng)
-        x = T.dropout(h + r, p, rng)
+        def rows_forward(rows: slice) -> None:
+            y, a = self._block(Tensor(h.data[rows] + r.data[rows]))
+            query[rows] = y.data
+            if alpha is not None:
+                alpha[rows] = a.data
+
+        T.beside(lambda: rows_forward(slice(0, half)),
+                 lambda: rows_forward(slice(half, b)), b * n)
+        return Tensor(query), None if alpha is None else Tensor(alpha)
+
+    def _block(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
+        """The block over (B, d) inputs as B one-token sequences."""
         y, alpha = self.block.forward(x.reshape(x.shape[0], 1, x.shape[-1]))
         return y.reshape(x.shape[0], y.shape[-1]), alpha
 
@@ -289,8 +326,11 @@ class KgModel(Module):
         """Logits over all tails for a batch of (h, r) queries.
 
         Returns ``(logits, alpha)`` with logits (B, n_entities) and alpha
-        as :meth:`query` gives it. With ``out``, a C-contiguous float64
-        (B, n_entities) array, the logits are written into it and
+        as :meth:`query` gives it: an untaped eval-mode batch of
+        ``tensor.BESIDE_FROM`` logits runs its query forward as two row
+        halves, and a taped one stays whole, so every gradient flows. With
+        ``out``, a C-contiguous float64 (B, n_entities) array, the logits
+        are written into it and
         ``logits.data`` is ``out``; the caller may reuse it once the
         logits have been read, since no backward reads it. Without
         ``out`` a new array is allocated.
@@ -481,12 +521,14 @@ CHECK_BLOCK_ROWS = 16
 def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
     """Filtered MRR / Hits@10 and mean routing weights over a split.
 
-    Runs in eval mode, :data:`EVAL_BATCH` queries per forward. Each
-    batch's scores are ranked row by row and checked for finiteness in
-    one scan, which :func:`tensor.beside` runs beside the ranking on the
-    helper thread or after it in the caller's. A batch counts only once
-    it is all finite; else :class:`NumericsError` names its first
-    non-finite query.
+    Runs in eval mode, :data:`EVAL_BATCH` queries per forward; from
+    ``tensor.BESIDE_FROM`` scores a batch's query forward and head run as
+    two row halves, the second beside the first (:meth:`KgModel.query`,
+    ``tensor.inner``). Each batch's scores are ranked row by row and
+    checked for finiteness in one scan, which :func:`tensor.beside` runs
+    beside the ranking on the helper thread or after it in the caller's.
+    A batch counts only once it is all finite; else
+    :class:`NumericsError` names its first non-finite query.
     """
     triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0

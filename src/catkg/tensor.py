@@ -138,6 +138,11 @@ def _active_tape() -> "Tape | None":
     return stack[-1] if stack else None
 
 
+def recording() -> bool:
+    """Whether a :class:`Tape` is active on the calling thread."""
+    return bool(_tapes.stack)
+
+
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
@@ -532,32 +537,44 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
 # Entries of a (B, n) array from which its work runs in two parts, the
 # second beside the caller: inner's forward as two row blocks, its backward
 # as the query gradient beside the table gradient, smoothed_ce_loss's pass
-# as two row blocks, evaluate's finiteness scan beside its rank loop, and
-# AdamW's update of a parameter that large as two row blocks. FB15k-237's
-# heads, eval batches (≥ 256 × 14,541) and entity table (14,541 × 64)
-# reach it; UMLS's (≤ 661 × 135, and no parameter above 2¹⁶ entries) stay
-# below, where a second thread costs more than it gives.
+# as two row blocks, evaluate's finiteness scan beside its rank loop,
+# AdamW's update of a parameter that large as two row blocks, and the
+# untaped eval-mode query whose (B, n) scores reach it as two row blocks.
+# FB15k-237's heads, eval batches (≥ 256 × 14,541) and entity table
+# (14,541 × 64) reach it; UMLS's (≤ 661 × 135, and no parameter above 2¹⁶
+# entries) stay below, where a second thread costs more than it gives.
 BESIDE_FROM = 2 ** 18
 
 # The one worker thread that runs beside the caller, and the id of the
 # process that started it: a forked child cannot use its parent's.
 _helper: ThreadPoolExecutor | None = None
 _helper_pid = 0
+# Marks the helper thread, where work handed to the helper would wait on
+# itself.
+_on_helper = threading.local()
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _second_core() -> ThreadPoolExecutor | None:
-    """The helper thread, or None when this process may run on one CPU.
+    """The helper thread, or None when this process may run on one CPU or
+    the caller is the helper itself, which would wait on its own job.
 
     Two threads that race to start it each get a working pool; the one
     not kept shuts down once its caller lets go of it.
     """
     global _helper, _helper_pid
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
+    if getattr(_on_helper, "marked", False) or usable_cpus() < 2:
         return None
     if _helper_pid != os.getpid():
-        _helper = ThreadPoolExecutor(1, thread_name_prefix="catkg-helper")
+        _helper = ThreadPoolExecutor(
+            1, thread_name_prefix="catkg-helper",
+            initializer=lambda: setattr(_on_helper, "marked", True))
         _helper_pid = os.getpid()
     return _helper
 
@@ -569,10 +586,11 @@ def beside(main: Callable[[], _M], side: Callable[[], _S],
     From :data:`BESIDE_FROM` entries, and where the process may use a
     second CPU, ``side`` runs on the helper thread in a copy of the
     caller's context (so under its ``np.errstate``) while the caller runs
-    ``main``; else it runs after ``main`` in the caller's thread. Either
-    way ``side`` is not running once this returns or raises, so the
-    caller may then reuse whatever it reads. The two overlap only while
-    they spend their time in numpy calls that release the GIL.
+    ``main``; else, and when called on the helper thread itself, it
+    runs after ``main`` in the caller's thread. Either way ``side`` is
+    not running once this returns or raises, so the caller may then reuse
+    whatever it reads. The two overlap only while they spend their time
+    in numpy calls that release the GIL.
     """
     helper = _second_core() if size >= BESIDE_FROM else None
     if helper is None:

@@ -33,7 +33,7 @@ from catkg import tensor as T
 from catkg.kg import KgModel, evaluate, load_triples
 from catkg.tensor import load_checkpoint, save_checkpoint
 
-from conftest import build_toy_store, write_store_files
+from conftest import build_toy_store, use_cpus, write_store_files
 
 BASE_CONFIG = """\
 # toy run: small enough to train in well under a second
@@ -531,6 +531,22 @@ class TestManifestWrite:
                             metrics={"test": {"mrr": object()}}, artifacts={})
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+    def test_build_records_blas_threads_and_cpus(self, tmp_path,
+                                                 monkeypatch):
+        # Runs whose bytes differ can then be told apart by these settings.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        use_cpus(monkeypatch, 3)
+        _write_manifest(tmp_path, "eval", TrainConfig(), timings={},
+                        metrics={}, artifacts={})
+        build = json.loads((tmp_path / "manifest.json").read_text())["build"]
+        assert build["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                         "OMP_NUM_THREADS": None,
+                                         "MKL_NUM_THREADS": "4"}
+        assert build["usable_cpus"] == 3
 
 
 class TestEvalCommand:

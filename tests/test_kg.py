@@ -30,6 +30,7 @@ from catkg.kg import (LN3, FilterIndex, KgModel, Metrics, evaluate,
                       filtered_rank, load_triples, routing_entropy,
                       score_all_tails, smoothed_ce_loss, total_loss)
 from catkg.tensor import Tensor, grad_check
+from catkg.trainer import export_routing
 
 from conftest import (build_toy_store, record_beside, use_cpus,
                       write_store_files)
@@ -689,6 +690,131 @@ class TestModelScoring:
         from catkg.attention import parameter_count as block_count
         assert model.parameter_count() == (10 * 8 + 3 * 8
                                            + block_count(model.block))
+
+
+class _RowCountingBlock:
+    """Wraps a block and records the rows of every forward it runs."""
+
+    def __init__(self, block):
+        self.block, self.rows = block, []
+
+    def forward(self, x):
+        self.rows.append(x.shape[0])
+        return self.block.forward(x)
+
+
+class TestEvalQueryHalves:
+    """An untaped eval-mode query whose scores reach tensor.BESIDE_FROM
+    runs its block over two row halves, the second beside the first, and
+    gives each row the bits of one forward over the whole batch."""
+
+    # At d = 32 the rows of a 37-row batch split as [0, 19) and the rest
+    # get other bits than in one forward, in every variant.
+    N_ENTITIES, N_RELATIONS = 40, 5
+
+    def model(self, variant="cat"):
+        return KgModel(self.N_ENTITIES, self.N_RELATIONS,
+                       TrainConfig(d=32, heads=2, seed=6, variant=variant))
+
+    def batch(self, b):
+        rng = np.random.default_rng(b)
+        return (rng.integers(0, self.N_ENTITIES, b),
+                rng.integers(0, self.N_RELATIONS, b))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("b", [37, 64])
+    @pytest.mark.parametrize("variant", ["cat", "euclidean", "hyperbolic",
+                                         "spherical"])
+    def test_halves_give_the_bits_of_the_whole_batch(self, monkeypatch,
+                                                     variant, b, cpus):
+        model = self.model(variant)
+        heads, rels = self.batch(b)
+        use_cpus(monkeypatch, cpus)
+        with monkeypatch.context() as m:
+            m.setattr(T, "BESIDE_FROM", math.inf)
+            want, want_alpha = model.query(heads, rels)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
+        sizes = record_beside(monkeypatch)
+        query, alpha = model.query(heads, rels)
+        logits, score_alpha = model.score(heads, rels)
+        # The head splits its own rows, so it is compared on one rule.
+        head = T.inner(want, model.entity_emb)
+        # query, then score's query and its head, then the reference head.
+        assert sizes == [b * self.N_ENTITIES] * 4
+        assert query.requires_grad is False
+        assert np.array_equal(query.data, want.data)
+        assert np.array_equal(logits.data, head.data)
+        for got in (alpha, score_alpha):
+            if want_alpha is None:
+                assert got is None and variant != "cat"
+            else:
+                assert np.array_equal(got.data, want_alpha.data)
+
+    @pytest.mark.parametrize("b,rows", [
+        (1, [1]), (17, [17]), (18, [16, 2]), (33, [33]), (37, [32, 5]),
+        (64, [32, 32]), (1010, [512, 498])])
+    def test_the_first_half_is_whole_tiles(self, monkeypatch, b, rows):
+        # A row keeps its bits where its GEMM tile keeps its place, and a
+        # one-row half would run as a GEMV, so such a batch stays whole.
+        # On one CPU the halves run in turn, so their order shows.
+        model = self.model()
+        model.block = _RowCountingBlock(model.block)
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
+        model.query(*self.batch(b))
+        assert model.block.rows == rows
+
+    def test_training_mode_stays_whole(self, monkeypatch):
+        model = self.model()
+        model.block = _RowCountingBlock(model.block)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
+        model.query(*self.batch(64), training=True,
+                    rng=np.random.default_rng(0))
+        assert model.block.rows == [64]
+
+    def tape_grads(self, monkeypatch, threshold):
+        """Every parameter gradient of a taped eval-mode score and loss,
+        with tensor.BESIDE_FROM at ``threshold``. The head splits 64 rows
+        into halves of 32, which keep the bits of the whole GEMM."""
+        model = self.model()
+        heads, rels = self.batch(64)
+        with monkeypatch.context() as m:
+            use_cpus(m, 2)
+            m.setattr(T, "BESIDE_FROM", threshold)
+            with T.Tape() as tape:
+                logits, alpha = model.score(heads, rels)
+                loss = total_loss(smoothed_ce_loss(logits, heads),
+                                  routing_entropy(alpha), 0.01)
+            tape.backward(loss)
+        return {name: p.grad for name, p in model.parameters().items()}
+
+    def test_a_taped_eval_forward_stays_whole(self, monkeypatch):
+        split = self.tape_grads(monkeypatch, 1)
+        whole = self.tape_grads(monkeypatch, math.inf)
+        assert split["relation_emb"] is not None
+        assert split["block.router.lin2.weight"] is not None
+        assert split.keys() == whole.keys()
+        for name, g in split.items():
+            assert (g is None) == (whole[name] is None), name
+            assert g is None or np.array_equal(g, whole[name]), name
+
+    def test_route_export_writes_the_same_bytes(self, monkeypatch,
+                                                tmp_path):
+        store = build_toy_store(n_entities=self.N_ENTITIES,
+                                n_relations=self.N_RELATIONS, n_train=200,
+                                n_test=37)
+        model = self.model()
+        written = []
+        for threshold in (1, math.inf):
+            with monkeypatch.context() as m:
+                m.setattr(T, "BESIDE_FROM", threshold)
+                sizes = record_beside(m)
+                path = tmp_path / f"routing-{threshold}.tsv"
+                export_routing(model, store, "test", path)
+            written.append(path.read_bytes())
+            assert sizes == ([37 * self.N_ENTITIES] if threshold == 1
+                             else [])
+        assert written[0] == written[1]
 
 
 def _affine(name, d_in, d_out):

@@ -53,6 +53,49 @@ def test_the_lint_finds_each_form():
         "m.py:4: tensor._unbroadcast", "m.py:5: tt._tapes"]
 
 
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def thread_imports(source: str, filename: str) -> list[str]:
+    """Every import statement of ``source`` that reaches ``threading`` or
+    ``concurrent.futures``, in either import form. ``tensor.beside`` is
+    the one public way onto the helper thread, so only ``tensor.py``
+    starts or waits on threads."""
+    found = []
+    for n in ast.walk(ast.parse(source, filename)):
+        if isinstance(n, ast.Import):
+            modules = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            modules = [n.module] + [f"{n.module}.{a.name}" for a in n.names]
+        else:
+            continue
+        found.extend(f"{filename}:{n.lineno}: {m}" for m in modules
+                     if m in THREAD_MODULES)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "tensor.py"),
+    ids=lambda p: p.name)
+def test_no_thread_imports_outside_tensor_py(path):
+    assert thread_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_thread_lint_finds_each_form():
+    source = ("import threading\n"
+              "import concurrent.futures as cf\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "from concurrent import futures\n"
+              "from threading import local as tl\n"
+              "import os, threading\n"
+              "import concurrent, contextvars\n"
+              "from .threading import x\n")
+    assert thread_imports(source, "m.py") == [
+        "m.py:1: threading", "m.py:2: concurrent.futures",
+        "m.py:3: concurrent.futures", "m.py:4: concurrent.futures",
+        "m.py:5: threading", "m.py:6: threading"]
+
+
 def imported_public_names(source: str, filename: str) -> set[str]:
     """The public names that the module-level imports of ``source`` bind."""
     names = set()

@@ -572,6 +572,53 @@ class TestBeside:
         assert done.is_set()
 
 
+    def test_work_nested_on_the_helper_runs_there_in_turn(self):
+        # The helper would wait on its own queue if it submitted the inner
+        # side to itself; a subprocess with a timeout keeps a hang out of
+        # this process.
+        script = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from catkg import tensor as T
+x = np.arange(12.0).reshape(6, 2)
+out, ran_on = np.zeros_like(x), []
+def job(rows):
+    ran_on.append(threading.current_thread().name)
+    out[rows] = x[rows] * 2
+def nested():
+    T.in_halves(job, 6, T.BESIDE_FROM)
+    return T.beside(lambda: "main", lambda: "side", T.BESIDE_FROM)
+_, inner = T.beside(lambda: None, nested, T.BESIDE_FROM)
+print(np.array_equal(out, x * 2), inner == ("main", "side"), *ran_on)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        whole, both, *ran_on = proc.stdout.split()
+        assert (whole, both) == ("True", "True")
+        assert len(ran_on) == 2
+        assert all(name.startswith("catkg-helper") for name in ran_on)
+
+
+def test_recording_sees_only_the_calling_threads_tape():
+    assert not T.recording()
+    seen = []
+    with Tape():
+        assert T.recording()
+        worker = threading.Thread(target=lambda: seen.append(T.recording()))
+        worker.start()
+        worker.join()
+        with Tape():
+            assert T.recording()
+        assert T.recording()
+    assert not T.recording()
+    assert seen == [False]
+
+
 class TestInnerRowBlocks:
     """From BESIDE_FROM entries, ``inner`` runs two fixed row blocks."""
 
