@@ -31,14 +31,6 @@ CE_BLOCK_ELEMENTS = 3 * 2 ** 15
 
 SPLITS = ("train", "valid", "test")
 
-# Rows that the two halves of an eval-mode query align to. A row that a
-# narrow GEMM (the router's map to three logits) computes gets bits that
-# depend on where it sits in its BLAS kernel's tile of 4 to 16 rows, and a
-# one-row GEMM runs as a GEMV. So the first half is a multiple of 16 rows
-# and the second has at least two: every row then keeps its whole-batch bits
-# (rows [0, ⌈B/2⌉) instead change them at about half of all B).
-QUERY_TILE_ROWS = 16
-
 # Queries per forward pass of every eval-mode walk of a split. Alpha is
 # summed batch by batch, so evaluate and export_routing agree bitwise on
 # its means because both slice by this one size.
@@ -279,12 +271,10 @@ class KgModel(Module):
         routing weights (None for fixed-geometry variants).
 
         In eval mode with no :class:`~catkg.tensor.Tape` active on the
-        calling thread and B · n_entities ≥ ``tensor.BESIDE_FROM`` (the
-        size of the scores this query feeds), the block runs over rows
-        [0, h) and the rest, the second ``tensor.beside`` the first, with
-        h = 16·⌈B/32⌉ (:data:`QUERY_TILE_ROWS`) when that leaves two rows
-        or more for the second; both results are then constants. Each row
-        gets the bits it gets in one forward over all B rows.
+        calling thread, the block runs over the row parts of
+        ``tensor.in_halves`` for the (B, n_entities) scores this query
+        feeds, and both results are constants. Each row gets the bits it
+        gets in one forward over all B rows.
         """
         heads = np.atleast_1d(T.index_array(heads, "head"))
         relations = np.atleast_1d(T.index_array(relations, "relation"))
@@ -294,15 +284,13 @@ class KgModel(Module):
         # Both gathers run whole, so a bad index raises as on one path.
         h = T.embedding(self.entity_emb, heads)
         r = T.embedding(self.relation_emb, relations)
-        b, (n, d) = heads.shape[0], self.entity_emb.shape
-        half = QUERY_TILE_ROWS * -(-b // (2 * QUERY_TILE_ROWS))
-        if (training or T.recording() or b - half < 2
-                or b * n < T.BESIDE_FROM):
+        if training or T.recording():
             # Drop(Drop(h) + Drop(r)), drawing entity, relation, composite.
             p = self.dropout_p if training else 0.0
             h = T.dropout(h, p, rng)
             r = T.dropout(r, p, rng)
             return self._block(T.dropout(h + r, p, rng))
+        b, (n, d) = heads.shape[0], self.entity_emb.shape
         query = np.empty((b, d))
         alpha = None if self.variant != "cat" else np.empty((b, 1, 3))
 
@@ -312,8 +300,7 @@ class KgModel(Module):
             if alpha is not None:
                 alpha[rows] = a.data
 
-        T.beside(lambda: rows_forward(slice(0, half)),
-                 lambda: rows_forward(slice(half, b)), b * n)
+        T.in_halves(rows_forward, b, b * n)
         return Tensor(query), None if alpha is None else Tensor(alpha)
 
     def _block(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
@@ -326,11 +313,10 @@ class KgModel(Module):
         """Logits over all tails for a batch of (h, r) queries.
 
         Returns ``(logits, alpha)`` with logits (B, n_entities) and alpha
-        as :meth:`query` gives it: an untaped eval-mode batch of
-        ``tensor.BESIDE_FROM`` logits runs its query forward as two row
-        halves, and a taped one stays whole, so every gradient flows. With
-        ``out``, a C-contiguous float64 (B, n_entities) array, the logits
-        are written into it and
+        as :meth:`query` gives it: an untaped eval-mode query and the head
+        run over the row parts of ``tensor.in_halves``, and a taped query
+        stays whole, so every gradient flows. With ``out``, a C-contiguous
+        float64 (B, n_entities) array, the logits are written into it and
         ``logits.data`` is ``out``; the caller may reuse it once the
         logits have been read, since no backward reads it. Without
         ``out`` a new array is allocated.
@@ -358,9 +344,8 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     B >= 1 and ``targets`` holds exactly one class index per row.
     One pass over row blocks of about :data:`CE_BLOCK_ELEMENTS` values
     computes the loss and, when the logits need a gradient, the gradient
-    for a unit upstream gradient; from ``tensor.BESIDE_FROM`` logits and
-    B ≥ 2 it runs over rows [0, ⌈B/2⌉) and the rest, the second beside the
-    first (``tensor.in_halves``), and the loss is summed afterwards in the
+    for a unit upstream gradient; it runs over the row parts of
+    ``tensor.in_halves``, and the loss is summed afterwards in the
     caller. The gradient is written into ``out``, a
     C-contiguous float64 (B, n) array apart from the logits, which holds
     it from the forward onward; the caller may reuse ``out`` only after
@@ -521,12 +506,12 @@ CHECK_BLOCK_ROWS = 16
 def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
     """Filtered MRR / Hits@10 and mean routing weights over a split.
 
-    Runs in eval mode, :data:`EVAL_BATCH` queries per forward; from
-    ``tensor.BESIDE_FROM`` scores a batch's query forward and head run as
-    two row halves, the second beside the first (:meth:`KgModel.query`,
-    ``tensor.inner``). Each batch's scores are ranked row by row and
-    checked for finiteness in one scan, which :func:`tensor.beside` runs
-    beside the ranking on the helper thread or after it in the caller's.
+    Runs in eval mode, :data:`EVAL_BATCH` queries per forward; a batch's
+    query forward and head run over the row parts of ``tensor.in_halves``
+    (:meth:`KgModel.query`, ``tensor.inner``). Each batch's scores are
+    ranked row by row and checked for finiteness in one scan, which
+    :func:`tensor.beside` runs beside the ranking on the helper thread or
+    after it in the caller's.
     A batch counts only once it is all finite; else
     :class:`NumericsError` names its first non-finite query.
     """

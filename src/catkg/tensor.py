@@ -535,15 +535,23 @@ def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
 
 
 # Entries of a (B, n) array from which its work runs in two parts, the
-# second beside the caller: inner's forward as two row blocks, its backward
-# as the query gradient beside the table gradient, smoothed_ce_loss's pass
-# as two row blocks, evaluate's finiteness scan beside its rank loop,
-# AdamW's update of a parameter that large as two row blocks, and the
-# untaped eval-mode query whose (B, n) scores reach it as two row blocks.
-# FB15k-237's heads, eval batches (≥ 256 × 14,541) and entity table
+# second beside the caller: inner's forward, smoothed_ce_loss's pass,
+# AdamW's update of a parameter that large and the untaped eval-mode query
+# as two row parts (in_halves), inner's backward as the query gradient
+# beside the table gradient, and evaluate's finiteness scan beside its rank
+# loop. FB15k-237's heads, eval batches (≥ 256 × 14,541) and entity table
 # (14,541 × 64) reach it; UMLS's (≤ 661 × 135, and no parameter above 2¹⁶
 # entries) stay below, where a second thread costs more than it gives.
 BESIDE_FROM = 2 ** 18
+
+# Rows that in_halves aligns its first part to. A row that a narrow GEMM
+# (the router's map to three logits) computes gets bits that depend on
+# where it sits in its BLAS kernel's tile of 4 to 16 rows, and a one-row
+# GEMM runs as a GEMV. So the first part is whole tiles and the second has
+# at least two rows: each row of an eval-mode query then keeps the bits of
+# one forward over all rows (rows [0, ⌈B/2⌉) instead change them at about
+# half of all B).
+TILE_ROWS = 16
 
 # The one worker thread that runs beside the caller, and the id of the
 # process that started it: a forked child cannot use its parent's.
@@ -608,16 +616,18 @@ def in_halves(work: Callable[[slice], object], rows: int,
     """Call ``work(part)`` on row slices of an array of ``rows`` rows and
     ``size`` entries that together cover every row once.
 
-    From :data:`BESIDE_FROM` entries and two rows, ``work`` runs over rows
-    [0, ⌈rows/2⌉) and over the rest, the second :func:`beside` the first;
-    else once over all rows in the caller. The partition depends only on
-    the shape, so a result that depends on it does not depend on the
-    number of CPUs. The two calls must write disjoint rows.
+    From :data:`BESIDE_FROM` entries, ``work`` runs over rows [0, h) and
+    over the rest, the second :func:`beside` the first, with
+    h = 16·⌈rows/32⌉ (:data:`TILE_ROWS`) when the rest keeps two rows or
+    more; else once over all rows in the caller. This is the one row
+    partition of every two-part job. It depends only on the shape, so a
+    result that depends on it does not depend on the number of CPUs. The
+    two calls must write disjoint rows.
     """
-    if rows < 2 or size < BESIDE_FROM:
+    half = TILE_ROWS * -(-rows // (2 * TILE_ROWS))
+    if rows - half < 2 or size < BESIDE_FROM:
         work(slice(0, rows))
     else:
-        half = (rows + 1) // 2
         beside(lambda: work(slice(0, half)), lambda: work(slice(half, rows)),
                size)
 
@@ -628,11 +638,10 @@ def inner(q, table, out: Array | None = None) -> Tensor:
     With ``out`` the (B, n) result is written into that float64,
     C-contiguous array, which the caller owns and may overwrite once the
     forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
-    reads only ``q``, ``table`` and the incoming gradient. From
-    :data:`BESIDE_FROM` entries of the result and B ≥ 2, the forward runs
-    as rows [0, ⌈B/2⌉) and the rest (:func:`in_halves`), and the backward
-    runs ``g @ table`` whole in the caller while ``(qᵀ @ g)ᵀ`` runs
-    :func:`beside` it; each gradient is one GEMM either way.
+    reads only ``q``, ``table`` and the incoming gradient. The forward
+    runs over the row parts of :func:`in_halves`, and the backward runs
+    ``g @ table`` whole in the caller with ``(qᵀ @ g)ᵀ`` :func:`beside`
+    it; each gradient is one GEMM either way.
     """
     q, table = as_tensor(q), as_tensor(table)
     if q.ndim != 2 or table.ndim != 2 or q.shape[1] != table.shape[1]:
@@ -655,11 +664,7 @@ def inner(q, table, out: Array | None = None) -> Tensor:
         def table_grad():
             np.matmul(q.data.T, g, out=gt)
 
-        if b < 2 or b * n < BESIDE_FROM:
-            query_grad()
-            table_grad()
-        else:
-            beside(query_grad, table_grad, b * n)
+        beside(query_grad, table_grad, b * n)
         return gq, gt.T
 
     return node(y, (q, table), backward_fn)

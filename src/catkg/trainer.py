@@ -40,11 +40,10 @@ class AdamW:
     update over leading-axis row blocks of about
     :data:`ADAMW_BLOCK_ELEMENTS` values, views of the parameter, its
     gradient and moments in any memory order, in two scratch arrays of
-    one block each. A parameter of ``tensor.BESIDE_FROM`` entries or more
-    (FB15k-237's entity table) with two rows or more updates rows
-    [0, ⌈rows/2⌉) and the rest, the second beside the first
-    (``tensor.in_halves``), each half in its own scratch pair; the update
-    is elementwise, so its bits do not depend on the split.
+    one block each. Each parameter's rows are updated over the row parts
+    of ``tensor.in_halves`` (two for FB15k-237's entity table), each part
+    in its own scratch pair; the update is elementwise, so its bits do not
+    depend on the split.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -73,8 +72,8 @@ class AdamW:
         # A block holds whole rows, so a row wider than a block widens it.
         width = max([ADAMW_BLOCK_ELEMENTS] + [math.prod(p.data.shape[1:])
                                               for p in self.params.values()])
-        # A scratch pair for each half of a parameter that tensor.in_halves
-        # splits: the half starting at row 0 takes the first.
+        # A scratch pair for each row part of tensor.in_halves: the part
+        # starting at row 0 takes the first.
         scratch = np.empty((2, 2, width))
         for name, p in self.params.items():
             # atleast_1d views a 0-d array; basic slices below are views.

@@ -369,8 +369,10 @@ class TestCompose:
 
     @staticmethod
     def model(dropout):
+        # A fixed variant: the identity block routes nothing.
         model = KgModel(6, 3, TrainConfig(d=16, heads=2, seed=4,
-                                          dropout=dropout))
+                                          dropout=dropout,
+                                          variant="euclidean"))
         model.block = _IdentityBlock()
         return model
 
@@ -496,7 +498,8 @@ class TestQueryDropoutSites:
 
 
 class _IdentityBlock:
-    """Pass-through block: isolates the embedding/scoring arithmetic."""
+    """Pass-through block: isolates the embedding/scoring arithmetic. It
+    returns no routing weights, so it stands in for a fixed variant's."""
 
     def forward(self, x):
         return x, None
@@ -526,7 +529,8 @@ class TestModelScoring:
         assert alpha is None
 
     def test_identity_block_reduces_to_embedding_dot(self):
-        model = KgModel(12, 4, self.cfg)
+        model = KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3, dropout=0.0,
+                                           variant="euclidean"))
         model.block = _IdentityBlock()
         E = model.entity_emb.data
         R = model.relation_emb.data
@@ -705,8 +709,9 @@ class _RowCountingBlock:
 
 class TestEvalQueryHalves:
     """An untaped eval-mode query whose scores reach tensor.BESIDE_FROM
-    runs its block over two row halves, the second beside the first, and
-    gives each row the bits of one forward over the whole batch."""
+    runs its block over the two row parts of tensor.in_halves, the second
+    beside the first, and gives each row the bits of one forward over the
+    whole batch."""
 
     # At d = 32 the rows of a 37-row batch split as [0, 19) and the rest
     # get other bits than in one forward, in every variant.

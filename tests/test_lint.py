@@ -96,6 +96,47 @@ def test_the_thread_lint_finds_each_form():
         "m.py:5: threading", "m.py:6: threading"]
 
 
+PARTITION_NAMES = ("BESIDE_FROM", "TILE_ROWS")
+
+
+def partition_names(source: str, filename: str) -> list[str]:
+    """Every name, attribute or import of ``BESIDE_FROM`` or ``TILE_ROWS``
+    in the code of ``source`` (not its strings or comments).
+    ``tensor.in_halves`` chooses every row partition and ``tensor.beside``
+    whether work runs on the helper, so no other module reads either."""
+    found = []
+    for n in ast.walk(ast.parse(source, filename)):
+        if isinstance(n, ast.Name):
+            name = n.id
+        elif isinstance(n, ast.Attribute):
+            name = n.attr
+        elif isinstance(n, ast.alias):
+            name = n.name
+        else:
+            continue
+        if name in PARTITION_NAMES:
+            found.append(f"{filename}:{n.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "tensor.py"),
+    ids=lambda p: p.name)
+def test_no_partition_names_outside_tensor_py(path):
+    assert partition_names(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_partition_lint_finds_each_form():
+    source = ('"""Splits from ``tensor.BESIDE_FROM`` entries."""\n'
+              "if b * n < T.BESIDE_FROM:  # TILE_ROWS\n"
+              "    pass\n"
+              "from .tensor import TILE_ROWS as tile\n"
+              "BESIDE_FROM = 2 ** 18\n"
+              "half = tile * T.in_halves\n")
+    assert sorted(partition_names(source, "m.py")) == [
+        "m.py:2: BESIDE_FROM", "m.py:4: TILE_ROWS", "m.py:5: BESIDE_FROM"]
+
+
 def imported_public_names(source: str, filename: str) -> set[str]:
     """The public names that the module-level imports of ``source`` bind."""
     names = set()

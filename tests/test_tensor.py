@@ -17,11 +17,14 @@ from scipy.special import erf as np_erf
 
 from catkg import manifolds as M
 from catkg import tensor as T
+from catkg.config import TrainConfig
 from catkg.errors import (ConfigError, IndexLookupError, NumericsError,
                           ParseError, ShapeError)
+from catkg.kg import KgModel, smoothed_ce_loss
 from catkg.tensor import Tape, Tensor
+from catkg.trainer import AdamW
 
-from conftest import record_beside, use_cpus
+from conftest import use_cpus
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -581,13 +584,13 @@ import os, threading
 os.sched_getaffinity = lambda pid: {0, 1}
 import numpy as np
 from catkg import tensor as T
-x = np.arange(12.0).reshape(6, 2)
+x = np.arange(38.0).reshape(19, 2)
 out, ran_on = np.zeros_like(x), []
 def job(rows):
     ran_on.append(threading.current_thread().name)
     out[rows] = x[rows] * 2
 def nested():
-    T.in_halves(job, 6, T.BESIDE_FROM)
+    T.in_halves(job, 19, T.BESIDE_FROM)
     return T.beside(lambda: "main", lambda: "side", T.BESIDE_FROM)
 _, inner = T.beside(lambda: None, nested, T.BESIDE_FROM)
 print(np.array_equal(out, x * 2), inner == ("main", "side"), *ran_on)
@@ -619,8 +622,99 @@ def test_recording_sees_only_the_calling_threads_tape():
     assert seen == [False]
 
 
+def record_threads(monkeypatch):
+    """Route ``tensor.beside`` through a spy; the returned list gets the
+    ``size`` of every call and the threads that ran its main and side."""
+    calls = []
+    beside = T.beside
+
+    def spy(main, side, size):
+        ran_on = {}
+
+        def on(key, fn):
+            def run():
+                ran_on[key] = threading.current_thread().name
+                return fn()
+            return run
+
+        try:
+            return beside(on("main", main), on("side", side), size)
+        finally:
+            calls.append((size, ran_on.get("main"), ran_on.get("side")))
+
+    monkeypatch.setattr(T, "beside", spy)
+    return calls
+
+
+# The parts in_halves gives each row count at BESIDE_FROM entries: rows
+# [0, 16·⌈rows/32⌉) and the rest when the rest keeps two rows, else all.
+PARTS = {1: [(0, 1)], 17: [(0, 17)], 18: [(0, 16), (16, 18)],
+         19: [(0, 16), (16, 19)], 33: [(0, 33)], 34: [(0, 32), (32, 34)],
+         37: [(0, 32), (32, 37)], 65: [(0, 48), (48, 65)],
+         243: [(0, 128), (128, 243)], 1010: [(0, 512), (512, 1010)],
+         1024: [(0, 512), (512, 1024)], 14541: [(0, 7280), (7280, 14541)]}
+
+
+class TestInHalves:
+    """``in_halves``, the one row partition of every two-part job."""
+
+    @staticmethod
+    def parts(rows, size):
+        """Every ``(start, stop, thread)`` that ``in_halves`` calls its
+        work with, in row order."""
+        seen = []
+        T.in_halves(lambda part: seen.append(
+            (part.start, part.stop, threading.current_thread().name)),
+            rows, size)
+        return sorted(seen)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_parts_at_beside_from(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        caller = threading.current_thread().name
+        for rows, want in PARTS.items():
+            seen = self.parts(rows, T.BESIDE_FROM)
+            assert [(start, stop) for start, stop, _ in seen] == want, rows
+            threads = [name for *_, name in seen]
+            assert threads[0] == caller
+            if len(threads) == 2:
+                assert threads[1].startswith("catkg-helper") == (cpus == 2)
+
+    def test_below_beside_from_it_makes_one_call(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        caller = threading.current_thread().name
+        for rows in PARTS:
+            assert self.parts(rows, T.BESIDE_FROM - 1) == [(0, rows, caller)]
+
+    def test_every_row_job_splits_where_in_halves_does(self, monkeypatch):
+        # FB15k-237's last training batch has 243 rows; n columns bring a
+        # (243, n) array to BESIDE_FROM entries.
+        rows, n = 243, -(-T.BESIDE_FROM // 243)
+        use_cpus(monkeypatch, 1)
+        jobs, in_halves = [], T.in_halves
+
+        def spy(work, *shape):
+            seen = []
+            jobs.append(seen)
+            in_halves(lambda part: (seen.append((part.start, part.stop)),
+                                    work(part)), *shape)
+
+        monkeypatch.setattr(T, "in_halves", spy)
+        rng = np.random.default_rng(8)
+        T.inner(rng.normal(size=(rows, 4)), rng.normal(size=(n, 4)))
+        smoothed_ce_loss(Tensor(rng.normal(size=(rows, n))),
+                         rng.integers(0, n, rows))
+        param = Tensor(rng.normal(size=(rows, n)), requires_grad=True)
+        param.grad = rng.normal(size=(rows, n))
+        AdamW({"p": param}, lr=0.1).step()
+        model = KgModel(n, 3, TrainConfig(d=8, heads=2, seed=1))
+        model.query(rng.integers(0, n, rows), rng.integers(0, 3, rows))
+        assert jobs == [PARTS[rows]] * 4
+
+
 class TestInnerRowBlocks:
-    """From BESIDE_FROM entries, ``inner`` runs two fixed row blocks."""
+    """From BESIDE_FROM entries, ``inner``'s forward runs over the row parts
+    of ``in_halves``."""
 
     # B·n is just above BESIDE_FROM. With an odd table the two halves'
     # forward differs in its last bits from the whole GEMM, so a path that
@@ -651,11 +745,12 @@ class TestInnerRowBlocks:
 
     def test_the_blocks_are_the_two_row_halves(self, monkeypatch):
         # Each block is the GEMM of its rows alone, whichever CPU ran it.
+        # 97 rows split at 16·⌈97/32⌉ = 64, not at ⌈97/2⌉.
         b, d, n = self.SPLIT
-        q, table = self.operands(b + 1, d, n)
+        q, table = self.operands(b + 33, d, n)
         use_cpus(monkeypatch, 2)
         y, gq, gt, g = inner_value_and_grads(q, table)
-        half = (b + 2) // 2
+        half = 64
         assert np.array_equal(y[:half], q[:half] @ table.T)
         assert np.array_equal(y[half:], q[half:] @ table.T)
         # The backward's two GEMMs run whole, side by side.
@@ -668,16 +763,22 @@ class TestInnerRowBlocks:
     def test_gradients_do_not_depend_on_the_path(self, monkeypatch, cpus,
                                                  split):
         # Each gradient is one GEMM whether the two run side by side, in
-        # turn, or below the threshold, where the forward is one GEMM too.
+        # turn, or below the threshold, where the forward is one GEMM too
+        # and both gradients run in the caller.
         b, d, n = self.SPLIT
         q, table = self.operands(b + 1, d, n)
         use_cpus(monkeypatch, cpus)
         if not split:
             monkeypatch.setattr(T, "BESIDE_FROM", (b + 1) * n + 1)
-        sizes = record_beside(monkeypatch)
-        _, gq, gt, g = inner_value_and_grads(q, table)
-        # Forward halves, then the backward pair.
-        assert sizes == ([(b + 1) * n] * 2 if split else [])
+        calls = record_threads(monkeypatch)
+        y, gq, gt, g = inner_value_and_grads(q, table)
+        caller = threading.current_thread().name
+        if split:
+            # Forward halves, then the backward pair.
+            assert [size for size, *_ in calls] == [(b + 1) * n] * 2
+        else:
+            assert calls == [((b + 1) * n, caller, caller)]
+            assert np.array_equal(y, np.matmul(q, table.T))
         assert np.array_equal(gq, g @ table)
         assert np.array_equal(gt, (q.T @ g).T)
 
@@ -685,12 +786,18 @@ class TestInnerRowBlocks:
                              ids=["below", "one_row"])
     def test_below_the_threshold_it_is_one_whole_gemm(self, monkeypatch,
                                                       shape):
+        # Below BESIDE_FROM entries, or with one row, the forward is one
+        # GEMM and the only beside call is the backward pair's. That pair
+        # runs in the caller below the threshold; a one-row head above it
+        # runs its table gradient on the helper.
         use_cpus(monkeypatch, 2)
-        calls = []
-        monkeypatch.setattr(T, "beside", lambda *args: calls.append(args))
+        calls = record_threads(monkeypatch)
         q, table = self.operands(*shape)
         y, gq, gt, g = inner_value_and_grads(q, table)
-        assert not calls
+        [(size, main, side)] = calls
+        caller = threading.current_thread().name
+        assert main == caller
+        assert (side == caller) == (size < T.BESIDE_FROM)
         assert np.array_equal(y, np.matmul(q, table.T))
         assert np.array_equal(gq, g @ table)
         assert np.array_equal(gt, (q.T @ g).T)
