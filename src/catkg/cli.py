@@ -11,7 +11,8 @@ all but ``bench``, which times every variant, also take ``--variant``:
 Every run directory receives a ``manifest.json`` snapshot (config,
 dataset checksums, seed, timings, metrics) sufficient to re-launch the
 identical run. Errors exit with status 1 and a single line
-``error: <category>: <message>`` on stderr; bad command lines exit 2.
+``error: <category>: <message>`` on stderr; bad command lines exit 2,
+and an interrupt (Ctrl-C) exits 130 as ``error: interrupted: ...``.
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: path-error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"error: interrupted: {args.command} stopped before it finished",
+              file=sys.stderr)
+        return 130
     return 0
 
 

@@ -64,7 +64,6 @@ class TrainConfig:
     beta1: float = _in("train", 0.9, "in [0, 1)")
     beta2: float = _in("train", 0.999, "in [0, 1)")
     adam_eps: float = _in("train", 1e-8, "positive")
-    grad_clip: float = _in("train", 0.0, ">= 0")  # 0 = no global-norm guard
     dropout: float = _in("train", 0.2, "in [0, 1)")
     label_smoothing: float = _in("train", 0.1, "in [0, 1)")
     lambda_ent_init: float = _in("train", 0.01, ">= 0")

@@ -429,8 +429,8 @@ def routing_entropy(alpha: Tensor) -> Tensor:
 
 def total_loss(ce: Tensor, entropy: Tensor, lambda_ent: float) -> Tensor:
     """``ce - lambda_ent * entropy``: high-entropy routing lowers the loss."""
-    if lambda_ent < 0:
-        raise ConfigError(f"lambda_ent must be >= 0, got {lambda_ent}")
+    if not 0 <= lambda_ent < np.inf:
+        raise ConfigError(f"lambda_ent must be in [0, inf), got {lambda_ent}")
     return ce - lambda_ent * entropy
 
 

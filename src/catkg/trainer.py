@@ -117,26 +117,6 @@ class AdamW:
         p -= b
 
 
-def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.
-    """
-    total_sq = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            # einsum's own loop: no squared temporary, no BLAS threads.
-            g = p.grad.ravel(order="K")
-            total_sq += float(np.einsum("i,i->", g, g))
-    total = math.sqrt(total_sq)
-    if total > max_norm > 0:
-        scale = max_norm / total
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
-    return total
-
-
 class PlateauScheduler:
     """Halve (by ``factor``) the optimizer lr when the monitored metric
     (higher is better) fails to improve for ``patience`` consecutive
@@ -263,8 +243,6 @@ def train(store: TripleStore, cfg: TrainConfig,
                     f"{epoch}, batch {batch_no}")
             opt.zero_grad()
             tape.backward(loss)
-            if cfg.grad_clip > 0:
-                clip_gradients(params, cfg.grad_clip)
             opt.step()
             loss_sum += loss_value * idx.size
 
@@ -301,7 +279,11 @@ def save_model(path, model: KgModel) -> None:
 
 
 def load_model(path, model: KgModel) -> KgModel:
-    """Fill ``model``'s parameters from a checkpoint, validating shapes."""
+    """Fill ``model``'s parameters from a checkpoint, validating shapes.
+
+    Every name and shape is checked before any parameter is written, so
+    a refused checkpoint leaves ``model`` as it was.
+    """
     stored = T.load_checkpoint(path)
     params = model.parameters()
     missing = sorted(set(params) - set(stored))
@@ -320,6 +302,7 @@ def load_model(path, model: KgModel) -> KgModel:
             raise IncompatibilityError(
                 f"checkpoint tensor {name!r} has shape {stored[name].shape}, "
                 f"model expects {p.data.shape} (vocabulary or dims differ)")
+    for name, p in params.items():
         p.data[...] = stored[name]
     return model
 

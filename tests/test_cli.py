@@ -131,8 +131,7 @@ ALL_KEYS = [
     ("train.batch_size", "batch_size"), ("train.epochs", "epochs"),
     ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
     ("train.beta1", "beta1"), ("train.beta2", "beta2"),
-    ("train.adam_eps", "adam_eps"), ("train.grad_clip", "grad_clip"),
-    ("train.dropout", "dropout"),
+    ("train.adam_eps", "adam_eps"), ("train.dropout", "dropout"),
     ("train.label_smoothing", "label_smoothing"),
     ("train.lambda_ent_init", "lambda_ent_init"),
     ("train.lambda_ent_decay", "lambda_ent_decay"),
@@ -145,7 +144,7 @@ ALL_KEYS = [
 
 FLOAT_KEYS = [
     "model.curvature", "train.lr", "train.weight_decay", "train.beta1",
-    "train.beta2", "train.adam_eps", "train.grad_clip", "train.dropout",
+    "train.beta2", "train.adam_eps", "train.dropout",
     "train.label_smoothing", "train.lambda_ent_init",
     "train.lambda_ent_decay", "train.lambda_ent_min", "train.plateau_factor",
 ]
@@ -228,7 +227,7 @@ class TestConfigFormat:
             d=32, heads=8, ff_multiplier=3, variant="hyperbolic",
             curvature=0.5, batch_size=128, epochs=7, lr=0.003,
             weight_decay=0.0, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-            grad_clip=1.5, dropout=0.1, label_smoothing=0.0,
+            dropout=0.1, label_smoothing=0.0,
             lambda_ent_init=0.02, lambda_ent_decay=0.9, lambda_ent_min=0.0,
             plateau_factor=0.3, plateau_patience=4, seed=9, train_path="a",
             valid_path="b", test_path="c"))
@@ -245,12 +244,13 @@ class TestConfigFormat:
         assert cfg.d == 8 and cfg.heads == 1
 
     def test_unknown_key_is_an_error_not_a_default(self):
-        # The last three are keys an older config.txt may still hold.
+        # The last four are keys an older config.txt may still hold.
         for text, lineno in [
                 ("model.depth = 3\n", 1),
                 ("model.d = 8\nmodel.activation = gelu\n", 2),
                 ("model.d = 8\ntrain.entropy_sign = subtract\n", 2),
-                ("model.d = 8\ntrain.dropout_sites = entity\n", 2)]:
+                ("model.d = 8\ntrain.dropout_sites = entity\n", 2),
+                ("model.d = 8\ntrain.grad_clip = 1.0\n", 2)]:
             key = text.splitlines()[-1].split(" = ")[0]
             with pytest.raises(ConfigError) as info:
                 parse_config(text, source="x.cfg")
@@ -322,7 +322,7 @@ RULED_KEYS = [
     ("train.lr", "positive", "-1.0"),
     ("train.weight_decay", ">= 0", "-0.001"),
     ("train.beta1", "in [0, 1)", "1.0"), ("train.beta2", "in [0, 1)", "-0.1"),
-    ("train.adam_eps", "positive", "0"), ("train.grad_clip", ">= 0", "-1"),
+    ("train.adam_eps", "positive", "0"),
     ("train.dropout", "in [0, 1)", "1"),
     ("train.label_smoothing", "in [0, 1)", "1.5"),
     ("train.lambda_ent_init", ">= 0", "-0.01"),
@@ -888,12 +888,33 @@ class TestErrorSurface:
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for text, lineno in [("model.warp = 9\n", 1),
-                             ("model.d = 8\nmodel.activation = gelu\n", 2)]:
+                             ("model.d = 8\nmodel.activation = gelu\n", 2),
+                             ("model.d = 8\ntrain.grad_clip = 1.0\n", 2)]:
             cfg.write_text(text, encoding="utf-8")
             code, _, stderr = run_cli(["train", "--config", str(cfg)])
             assert code == 1
             assert stderr.startswith("error: invalid-config: ")
             assert f"bad.cfg:{lineno}: unknown config key" in stderr
+
+    # Mid-step, where the reported traceback came from, and while
+    # config.txt's temp file is open.
+    @pytest.mark.parametrize("owner,name", [(T.Tape, "backward"),
+                                            (cli_mod, "serialize_config")])
+    def test_interrupt_is_one_line_and_exit_130(self, tmp_path, monkeypatch,
+                                                owner, name):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(owner, name, interrupt)
+        out = tmp_path / "run"
+        code, _, stderr = run_cli([
+            "train", "--config", str(write_config(tmp_path,
+                                                  write_dataset(tmp_path))),
+            "--out-dir", str(out)])
+        assert code == 130
+        assert stderr.splitlines() == [
+            "error: interrupted: train stopped before it finished"]
+        assert not list(out.glob(".*.tmp"))
 
     def test_config_syntax_error_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1225,8 +1225,9 @@ class TestTotalLoss:
 
     def test_validation(self):
         ce, h = Tensor(np.array(1.0)), Tensor(np.array(0.5))
-        with pytest.raises(ConfigError):
-            total_loss(ce, h, -0.1)
+        for lam in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                total_loss(ce, h, lam)
 
 
 def brute_force_rank(scores, t, known_tails):

@@ -27,8 +27,8 @@ from catkg.errors import (ConfigError, IncompatibilityError, NumericsError,
 from catkg.kg import KgModel, Metrics, evaluate, routing_entropy, total_loss
 from catkg.tensor import Tape, Tensor
 from catkg.trainer import (AdamW, EpochRecord, PlateauScheduler,
-                           anneal_lambda, clip_gradients, export_routing,
-                           load_model, save_model, train)
+                           anneal_lambda, export_routing, load_model,
+                           save_model, train)
 
 from conftest import build_toy_store, record_beside, use_cpus
 
@@ -280,54 +280,6 @@ class TestAdamW:
         assert abs(float(x.data[0]) - 3.0) < 1e-4
 
 
-class TestClipGradients:
-    def test_large_norm_scaled_down_globally(self):
-        a = Tensor(np.zeros(3), requires_grad=True)
-        b = Tensor(np.zeros(4), requires_grad=True)
-        a.grad = np.full(3, 2.0)
-        b.grad = np.full(4, -2.0)
-        pre = math.sqrt(4.0 * 7)
-        returned = clip_gradients({"a": a, "b": b}, max_norm=1.0)
-        assert_allclose(returned, pre, rtol=1e-15)
-        post = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
-        assert_allclose(post, 1.0, rtol=1e-12)
-
-    def test_small_norm_untouched(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([0.3, 0.4])
-        clip_gradients({"a": a}, max_norm=1.0)
-        assert np.array_equal(a.grad, [0.3, 0.4])
-
-    def test_zero_max_norm_disables_clipping(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([30.0, 40.0])
-        assert clip_gradients({"a": a}, max_norm=0.0) == 50.0
-        assert np.array_equal(a.grad, [30.0, 40.0])
-
-    def test_missing_gradients_skipped(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        assert clip_gradients({"a": a}, max_norm=1.0) == 0.0
-
-    def test_allocates_nothing_parameter_sized(self):
-        rng = np.random.default_rng(6)
-        table = Tensor(np.zeros((14541, 64)), requires_grad=True)
-        table.grad = rng.normal(size=table.shape)
-        fortran = Tensor(np.zeros((300, 200)), requires_grad=True)
-        fortran.grad = np.asfortranarray(rng.normal(size=fortran.shape))
-        params = {"entity_emb": table, "fortran": fortran}
-        expected = math.sqrt(float((table.grad ** 2).sum()
-                                   + (fortran.grad ** 2).sum()))
-        tracemalloc.start()
-        try:
-            norm = clip_gradients(params, max_norm=1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-        assert_allclose(norm, expected, rtol=1e-12)
-        assert fortran.grad.flags.f_contiguous
-
-
 class TestPlateauScheduler:
     def test_flat_metric_reduces_on_schedule(self):
         opt = AdamW({}, lr=0.001)
@@ -444,6 +396,17 @@ class TestTrainLoop:
     def test_two_runs_produce_bit_identical_logs(self, store):
         cfg = small_cfg(epochs=6, dropout=0.2)
         assert train(store, cfg).log_text() == train(store, cfg).log_text()
+
+    def test_one_token_model_ignores_the_head_count(self, store):
+        # One token per query: the Euclidean branch's closed form
+        # wo(wv(x)) never splits heads, so model.heads changes no bit.
+        runs = [train(store, small_cfg(d=8, heads=heads, epochs=3))
+                for heads in (1, 2, 4, 8)]
+        for run in runs[1:]:
+            assert run.log_text() == runs[0].log_text()
+            for name, p in runs[0].model.parameters().items():
+                assert (run.model.parameters()[name].data.tobytes()
+                        == p.data.tobytes()), name
 
     def test_seed_changes_the_run(self, store):
         a = train(store, small_cfg(epochs=3))
@@ -630,6 +593,21 @@ class TestModelCheckpointIO:
         with pytest.raises(IncompatibilityError) as info:
             load_model(path, bigger)
         assert "entity_emb" in str(info.value)
+
+    def test_refused_load_leaves_every_parameter_as_it_was(self, store,
+                                                           tmp_path):
+        # entity_emb comes first and matches; relation_emb does not.
+        path = tmp_path / "model.catw"
+        save_model(path, KgModel(store.n_entities, store.n_relations + 1,
+                                 small_cfg(seed=99)))
+        model = KgModel(store.n_entities, store.n_relations, small_cfg())
+        before = {name: p.data.tobytes()
+                  for name, p in model.parameters().items()}
+        with pytest.raises(IncompatibilityError) as info:
+            load_model(path, model)
+        assert "relation_emb" in str(info.value)
+        assert {name: p.data.tobytes()
+                for name, p in model.parameters().items()} == before
 
 
 class TestExportRouting:
