@@ -12,7 +12,8 @@ Every run directory receives a ``manifest.json`` snapshot (config,
 dataset checksums, seed, timings, metrics) sufficient to re-launch the
 identical run. Errors exit with status 1 and a single line
 ``error: <category>: <message>`` on stderr; bad command lines exit 2,
-and an interrupt (Ctrl-C) exits 130 as ``error: interrupted: ...``.
+and an interrupt (Ctrl-C or SIGTERM) exits 130 as
+``error: interrupted: ...``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import sys
 import time
 
@@ -107,6 +109,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"train": _cmd_train, "eval": _cmd_eval, "bench": _cmd_bench,
                "route-export": _cmd_route_export}[args.command]
+    # SIGTERM ends a command as Ctrl-C does; the caller's handler returns.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         # Every non-finite value ends in a NumericsError, so numpy's
         # warnings would only come before the one error line.
@@ -118,10 +122,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: path-error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out-of-memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print(f"error: interrupted: {args.command} stopped before it finished",
               file=sys.stderr)
         return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -142,11 +152,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _data_paths(cfg: TrainConfig) -> dict[str, str]:
+    return {split: getattr(cfg, f"{split}_path") for split in kg_mod.SPLITS}
+
+
 def _require_data(cfg: TrainConfig) -> None:
-    missing = [key for key, field in
-               (("data.train_path", cfg.train_path),
-                ("data.valid_path", cfg.valid_path),
-                ("data.test_path", cfg.test_path)) if not field]
+    missing = [f"data.{split}_path"
+               for split, path in _data_paths(cfg).items() if not path]
     if missing:
         raise PathError(f"config must set {', '.join(missing)}")
 
@@ -176,23 +188,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _dataset_stanza(cfg: TrainConfig) -> dict:
-    out = {}
-    for name, path in (("train", cfg.train_path), ("valid", cfg.valid_path),
-                       ("test", cfg.test_path)):
-        if path:
-            out[name] = {"path": path, "sha256": _sha256(path)}
-    return out
-
-
 # The settings of BLAS's own thread pool, recorded in each manifest as set
 # (or null): the bits of a GEMM may depend on them.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
-
-
-def _config_snapshot(cfg: TrainConfig) -> dict:
-    return {key: getattr(cfg, field) for key, field in KEY_MAP.items()}
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
@@ -207,8 +206,9 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
                                    for var in BLAS_THREAD_VARS},
                   "usable_cpus": usable_cpus()},
         "seed": cfg.seed,
-        "config": _config_snapshot(cfg),
-        "datasets": _dataset_stanza(cfg),
+        "config": {key: getattr(cfg, field) for key, field in KEY_MAP.items()},
+        "datasets": {split: {"path": path, "sha256": _sha256(path)}
+                     for split, path in _data_paths(cfg).items() if path},
         "timings_sec": timings,
         "metrics": metrics,
         "artifacts": artifacts,

@@ -34,7 +34,6 @@ _RULES = {
     ">= 1": lambda v: v >= 1,
     "positive": lambda v: v > 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
-    "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
 # A field type: the values it admits, its parser, its error noun.
@@ -61,15 +60,9 @@ class TrainConfig:
     epochs: int = _in("train", 200, ">= 1")
     lr: float = _in("train", 0.001, "positive")
     weight_decay: float = _in("train", 0.001, ">= 0")
-    beta1: float = _in("train", 0.9, "in [0, 1)")
-    beta2: float = _in("train", 0.999, "in [0, 1)")
-    adam_eps: float = _in("train", 1e-8, "positive")
     dropout: float = _in("train", 0.2, "in [0, 1)")
     label_smoothing: float = _in("train", 0.1, "in [0, 1)")
     lambda_ent_init: float = _in("train", 0.01, ">= 0")
-    lambda_ent_decay: float = _in("train", 0.95, "in (0, 1]")
-    lambda_ent_min: float = _in("train", 0.001, ">= 0")
-    plateau_factor: float = _in("train", 0.5, "in (0, 1]")
     plateau_patience: int = _in("train", 10, ">= 1")
     seed: int = _in("train", 0, ">= 0")
     train_path: str = _in("data", "")

@@ -28,31 +28,39 @@ from .tensor import Tensor
 # arrays) stay within a 2 MiB L2.
 ADAMW_BLOCK_ELEMENTS = 2 ** 15
 
+# The protocol's fixed constants: AdamW's moment decays and epsilon, the
+# plateau scheduler's lr factor, the entropy weight's decay and floor.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+PLATEAU_FACTOR = 0.5
+LAMBDA_ENT_DECAY = 0.95
+LAMBDA_ENT_MIN = 0.001
+
 
 class AdamW:
     """Adaptive moments with bias correction and decoupled weight decay.
 
-    The decay multiplies parameters by ``(1 - lr * weight_decay)``
-    separately from (and before) the gradient step, so it is applied even
-    when gradients are zero. A parameter whose gradient is ``None`` is
-    updated as if its gradient were zero. A non-finite gradient rejects
-    the whole step before any parameter is touched. Each step runs the
-    update over leading-axis row blocks of about
-    :data:`ADAMW_BLOCK_ELEMENTS` values, views of the parameter, its
-    gradient and moments in any memory order, in two scratch arrays of
-    one block each. Each parameter's rows are updated over the row parts
-    of ``tensor.in_halves`` (two for FB15k-237's entity table), each part
-    in its own scratch pair; the update is elementwise, so its bits do not
-    depend on the split.
+    The moments decay by :data:`BETA1` and :data:`BETA2`, and
+    :data:`ADAM_EPS` guards the denominator. The weight decay multiplies
+    parameters by ``(1 - lr * weight_decay)`` separately from (and before)
+    the gradient step, so it is applied even when gradients are zero. A
+    parameter whose gradient is ``None`` is updated as if its gradient
+    were zero. A non-finite gradient rejects the whole step before any
+    parameter is touched. Each step runs the update over leading-axis row
+    blocks of about :data:`ADAMW_BLOCK_ELEMENTS` values, views of the
+    parameter, its gradient and moments in any memory order, in two
+    scratch arrays of one block each. Each parameter's rows are updated
+    over the row parts of ``tensor.in_halves`` (two for FB15k-237's entity
+    table), each part in its own scratch pair; the update is elementwise,
+    so its bits do not depend on the split.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -67,8 +75,8 @@ class AdamW:
                 raise NumericsError(
                     f"non-finite gradient for parameter {name!r}; step rejected")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         # A block holds whole rows, so a row wider than a block widens it.
         width = max([ADAMW_BLOCK_ELEMENTS] + [math.prod(p.data.shape[1:])
                                               for p in self.params.values()])
@@ -96,21 +104,21 @@ class AdamW:
     def _update(self, p, g, m, v, scratch, bc1, bc2) -> None:
         """One block of the update, in place in ``p``, ``m`` and ``v``."""
         a, b = (buf[:p.size].reshape(p.shape) for buf in scratch)
-        if self.weight_decay:
-            p *= 1.0 - self.lr * self.weight_decay
+        # At weight_decay = 0 this multiplies by exactly 1.0.
+        p *= 1.0 - self.lr * self.weight_decay
         # m += (1-β1)·g and v += ((1-β2)·g)·g; a zero gradient adds 0.
-        m *= self.beta1
-        v *= self.beta2
+        m *= BETA1
+        v *= BETA2
         if g is not None:
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(g, 1.0 - BETA1, out=a)
             m += a
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(g, 1.0 - BETA2, out=a)
             a *= g
             v += a
         # p -= (lr·(m/bc1)) / (sqrt(v/bc2) + eps)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += self.eps
+        a += ADAM_EPS
         np.divide(m, bc1, out=b)
         b *= self.lr
         b /= a
@@ -118,14 +126,12 @@ class AdamW:
 
 
 class PlateauScheduler:
-    """Halve (by ``factor``) the optimizer lr when the monitored metric
-    (higher is better) fails to improve for ``patience`` consecutive
-    epochs; the stale counter resets after each reduction."""
+    """Scale the optimizer lr by :data:`PLATEAU_FACTOR` when the monitored
+    metric (higher is better) fails to improve for ``patience``
+    consecutive epochs; the stale counter resets after each reduction."""
 
-    def __init__(self, optimizer: AdamW, factor: float = 0.5,
-                 patience: int = 10):
+    def __init__(self, optimizer: AdamW, patience: int = 10):
         self.optimizer = optimizer
-        self.factor = factor
         self.patience = patience
         self.best = -math.inf
         self.stale = 0
@@ -138,16 +144,16 @@ class PlateauScheduler:
             return False
         self.stale += 1
         if self.stale >= self.patience:
-            self.optimizer.lr *= self.factor
+            self.optimizer.lr *= PLATEAU_FACTOR
             self.stale = 0
             return True
         return False
 
 
-def anneal_lambda(lam: float, decay: float = 0.95,
-                  floor: float = 0.001) -> float:
-    """One annealing step of the entropy weight: max(floor, lam * decay)."""
-    return max(floor, lam * decay)
+def anneal_lambda(lam: float) -> float:
+    """One annealing step of the entropy weight:
+    ``max(LAMBDA_ENT_MIN, lam * LAMBDA_ENT_DECAY)``."""
+    return max(LAMBDA_ENT_MIN, lam * LAMBDA_ENT_DECAY)
 
 
 @dataclass(frozen=True)
@@ -201,9 +207,8 @@ def train(store: TripleStore, cfg: TrainConfig,
         store.nonempty(split, "train with")
     model = KgModel(store.n_entities, store.n_relations, cfg)
     params = model.parameters()
-    opt = AdamW(params, cfg.lr, cfg.weight_decay, cfg.beta1, cfg.beta2,
-                cfg.adam_eps)
-    sched = PlateauScheduler(opt, cfg.plateau_factor, cfg.plateau_patience)
+    opt = AdamW(params, cfg.lr, cfg.weight_decay)
+    sched = PlateauScheduler(opt, cfg.plateau_patience)
     is_cat = cfg.variant == "cat"
     lam = cfg.lambda_ent_init if is_cat else 0.0
 
@@ -263,7 +268,7 @@ def train(store: TripleStore, cfg: TrainConfig,
             best_state = {k: p.data.copy() for k, p in params.items()}
         sched.step(valid_metrics.mrr)
         if is_cat:
-            lam = anneal_lambda(lam, cfg.lambda_ent_decay, cfg.lambda_ent_min)
+            lam = anneal_lambda(lam)
 
     for name, data in best_state.items():
         params[name].data[...] = data

@@ -13,8 +13,10 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +91,18 @@ sys.exit(code)
 """
 
 
+def process_env():
+    """The environment with this checkout's package first on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli_process(argv, cpus="own"):
     """Run the CLI in a subprocess with numpy's default error handling,
     returning (exit_code, stdout, stderr)."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", CLI_PROCESS, cpus, *argv],
-                          env=env, capture_output=True, text=True,
+                          env=process_env(), capture_output=True, text=True,
                           timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -130,23 +136,17 @@ ALL_KEYS = [
     ("model.curvature", "curvature"),
     ("train.batch_size", "batch_size"), ("train.epochs", "epochs"),
     ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
-    ("train.beta1", "beta1"), ("train.beta2", "beta2"),
-    ("train.adam_eps", "adam_eps"), ("train.dropout", "dropout"),
+    ("train.dropout", "dropout"),
     ("train.label_smoothing", "label_smoothing"),
     ("train.lambda_ent_init", "lambda_ent_init"),
-    ("train.lambda_ent_decay", "lambda_ent_decay"),
-    ("train.lambda_ent_min", "lambda_ent_min"),
-    ("train.plateau_factor", "plateau_factor"),
     ("train.plateau_patience", "plateau_patience"), ("train.seed", "seed"),
     ("data.train_path", "train_path"), ("data.valid_path", "valid_path"),
     ("data.test_path", "test_path"),
 ]
 
 FLOAT_KEYS = [
-    "model.curvature", "train.lr", "train.weight_decay", "train.beta1",
-    "train.beta2", "train.adam_eps", "train.dropout",
+    "model.curvature", "train.lr", "train.weight_decay", "train.dropout",
     "train.label_smoothing", "train.lambda_ent_init",
-    "train.lambda_ent_decay", "train.lambda_ent_min", "train.plateau_factor",
 ]
 
 
@@ -212,10 +212,11 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("line,message", [
         ("model.curvature = 0", "model.curvature must be positive, got 0.0"),
-        ("train.adam_eps = 0", "train.adam_eps must be positive, got 0.0"),
-        ("train.beta1 = 1", "train.beta1 must be in [0, 1), got 1.0"),
-        ("train.lambda_ent_min = -1",
-         "train.lambda_ent_min must be >= 0, got -1.0"),
+        ("train.lr = 0", "train.lr must be positive, got 0.0"),
+        ("train.label_smoothing = 1",
+         "train.label_smoothing must be in [0, 1), got 1.0"),
+        ("train.lambda_ent_init = -1",
+         "train.lambda_ent_init must be >= 0, got -1.0"),
     ])
     def test_finite_range_messages(self, line, message):
         with pytest.raises(ConfigError) as info:
@@ -226,10 +227,8 @@ class TestConfigFormat:
         cfg = validate(TrainConfig(
             d=32, heads=8, ff_multiplier=3, variant="hyperbolic",
             curvature=0.5, batch_size=128, epochs=7, lr=0.003,
-            weight_decay=0.0, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-            dropout=0.1, label_smoothing=0.0,
-            lambda_ent_init=0.02, lambda_ent_decay=0.9, lambda_ent_min=0.0,
-            plateau_factor=0.3, plateau_patience=4, seed=9, train_path="a",
+            weight_decay=0.0, dropout=0.1, label_smoothing=0.0,
+            lambda_ent_init=0.02, plateau_patience=4, seed=9, train_path="a",
             valid_path="b", test_path="c"))
         default = TrainConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name)
@@ -244,13 +243,19 @@ class TestConfigFormat:
         assert cfg.d == 8 and cfg.heads == 1
 
     def test_unknown_key_is_an_error_not_a_default(self):
-        # The last four are keys an older config.txt may still hold.
+        # All but the first are keys an older config.txt may still hold.
         for text, lineno in [
                 ("model.depth = 3\n", 1),
                 ("model.d = 8\nmodel.activation = gelu\n", 2),
                 ("model.d = 8\ntrain.entropy_sign = subtract\n", 2),
                 ("model.d = 8\ntrain.dropout_sites = entity\n", 2),
-                ("model.d = 8\ntrain.grad_clip = 1.0\n", 2)]:
+                ("model.d = 8\ntrain.grad_clip = 1.0\n", 2),
+                ("train.beta1 = 0.9\n", 1),
+                ("model.d = 8\ntrain.beta2 = 0.999\n", 2),
+                ("model.d = 8\nmodel.heads = 2\ntrain.adam_eps = 1e-8\n", 3),
+                ("# old run\ntrain.plateau_factor = 0.5\n", 2),
+                ("model.d = 8\n\ntrain.lambda_ent_decay = 0.95\n", 3),
+                ("model.d = 8\ntrain.lambda_ent_min = 0.001\n", 2)]:
             key = text.splitlines()[-1].split(" = ")[0]
             with pytest.raises(ConfigError) as info:
                 parse_config(text, source="x.cfg")
@@ -321,14 +326,9 @@ RULED_KEYS = [
     ("train.batch_size", ">= 1", "0"), ("train.epochs", ">= 1", "0"),
     ("train.lr", "positive", "-1.0"),
     ("train.weight_decay", ">= 0", "-0.001"),
-    ("train.beta1", "in [0, 1)", "1.0"), ("train.beta2", "in [0, 1)", "-0.1"),
-    ("train.adam_eps", "positive", "0"),
     ("train.dropout", "in [0, 1)", "1"),
     ("train.label_smoothing", "in [0, 1)", "1.5"),
     ("train.lambda_ent_init", ">= 0", "-0.01"),
-    ("train.lambda_ent_decay", "in (0, 1]", "2.0"),
-    ("train.lambda_ent_min", ">= 0", "-1e-9"),
-    ("train.plateau_factor", "in (0, 1]", "0"),
     ("train.plateau_patience", ">= 1", "0"), ("train.seed", ">= 0", "-1"),
 ]
 
@@ -915,6 +915,51 @@ class TestErrorSurface:
         assert stderr.splitlines() == [
             "error: interrupted: train stopped before it finished"]
         assert not list(out.glob(".*.tmp"))
+
+    def test_sigterm_is_one_line_and_exit_130(self, tmp_path):
+        # A long run of the installed module, stopped once its first epoch
+        # is on record.
+        cfg = write_config(tmp_path, write_dataset(tmp_path))
+        cfg.write_text(cfg.read_text().replace("train.epochs = 8",
+                                               "train.epochs = 100000"))
+        out = tmp_path / "run"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catkg", "train", "--config", str(cfg),
+             "--out-dir", str(out)], env=process_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            log = out / "epochs.log"
+            deadline = time.monotonic() + 120
+            while not (log.exists() and log.read_text()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert stderr == ("error: interrupted: train stopped before it "
+                          "finished\n")
+        assert not list(out.glob(".*.tmp"))
+
+    def test_memory_error_is_one_line_and_exit_one(self, tmp_path,
+                                                   monkeypatch):
+        # numpy's message for `catkg bench` at model.d = 2**40.
+        message = ("Unable to allocate 114. PiB for an array with shape "
+                   "(14541, 1099511627776) and data type float64")
+        handlers = []
+
+        def exhaust(args):
+            handlers.append(signal.getsignal(signal.SIGTERM))
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, "_cmd_bench", exhaust)
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli(["bench", "--config", str(tmp_path / "x.cfg")]) == (
+            1, "", f"error: out-of-memory: {message}\n")
+        # SIGTERM raised KeyboardInterrupt only while the command ran.
+        assert handlers == [signal.default_int_handler]
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_config_syntax_error_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

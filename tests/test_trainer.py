@@ -26,9 +26,10 @@ from catkg.errors import (ConfigError, IncompatibilityError, NumericsError,
                           UnsupportedVariantError)
 from catkg.kg import KgModel, Metrics, evaluate, routing_entropy, total_loss
 from catkg.tensor import Tape, Tensor
-from catkg.trainer import (AdamW, EpochRecord, PlateauScheduler,
-                           anneal_lambda, export_routing, load_model,
-                           save_model, train)
+from catkg.trainer import (ADAM_EPS, BETA1, BETA2, LAMBDA_ENT_DECAY,
+                           LAMBDA_ENT_MIN, AdamW, EpochRecord,
+                           PlateauScheduler, anneal_lambda, export_routing,
+                           load_model, save_model, train)
 
 from conftest import build_toy_store, record_beside, use_cpus
 
@@ -46,25 +47,25 @@ def record_out_buffers(monkeypatch):
     return seen
 
 
-def whole_array_update(p, g, m, v, step, lr, wd, b1, b2, eps):
+def whole_array_update(p, g, m, v, step, lr, wd):
     """One AdamW update of a whole parameter, in place in p, m and v, as
     AdamW.step ran it before it walked blocks."""
-    bc1 = 1.0 - b1 ** step
-    bc2 = 1.0 - b2 ** step
+    bc1 = 1.0 - BETA1 ** step
+    bc2 = 1.0 - BETA2 ** step
     a, b = np.empty(p.shape), np.empty(p.shape)
     if wd:
         p *= 1.0 - lr * wd
-    m *= b1
-    v *= b2
+    m *= BETA1
+    v *= BETA2
     if g is not None:
-        np.multiply(g, 1.0 - b1, out=a)
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        np.multiply(g, 1.0 - b2, out=a)
+        np.multiply(g, 1.0 - BETA2, out=a)
         a *= g
         v += a
     np.divide(v, bc2, out=a)
     np.sqrt(a, out=a)
-    a += eps
+    a += ADAM_EPS
     np.divide(m, bc1, out=b)
     b *= lr
     b /= a
@@ -143,7 +144,7 @@ class TestAdamW:
     def test_update_is_bitwise_the_allocating_formula(self):
         # The update as written with fresh temporaries; a None gradient
         # counts as zeros.
-        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        lr, wd = 0.01, 0.1
         rng = np.random.default_rng(7)
         shapes = {"table": (30, 4), "w": (4, 4), "b": (4,), "s": ()}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True)
@@ -151,18 +152,18 @@ class TestAdamW:
         ref = {k: p.data.copy() for k, p in params.items()}
         ref_m = {k: np.zeros(s) for k, s in shapes.items()}
         ref_v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = AdamW(params, lr, wd, b1, b2, eps)
+        opt = AdamW(params, lr, wd)
         for step in range(1, 7):
-            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            bc1, bc2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
             for i, (k, p) in enumerate(params.items()):
                 p.grad = (None if (i + step) % 3 == 0
                           else rng.normal(size=shapes[k]) * 10.0 ** -step)
                 g = np.zeros(shapes[k]) if p.grad is None else p.grad
                 ref[k] *= 1.0 - lr * wd
-                ref_m[k] = ref_m[k] * b1 + (1.0 - b1) * g
-                ref_v[k] = ref_v[k] * b2 + (1.0 - b2) * g * g
+                ref_m[k] = ref_m[k] * BETA1 + (1.0 - BETA1) * g
+                ref_v[k] = ref_v[k] * BETA2 + (1.0 - BETA2) * g * g
                 ref[k] = ref[k] - lr * (ref_m[k] / bc1) / (
-                    np.sqrt(ref_v[k] / bc2) + eps)
+                    np.sqrt(ref_v[k] / bc2) + ADAM_EPS)
             opt.step()
             for k, p in params.items():
                 assert np.array_equal(p.data, ref[k]), (step, k)
@@ -171,7 +172,7 @@ class TestAdamW:
 
     @pytest.mark.parametrize("wd", [0.0, 0.1])
     def test_blocks_match_the_whole_array_update(self, wd):
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr = 0.01
         rng = np.random.default_rng(17)
         shapes = {"table": (700, 64),   # two blocks of 512 and 188 rows
                   "wide": (3, 40000),   # a row wider than a block
@@ -182,13 +183,13 @@ class TestAdamW:
         ref = {k: p.data.copy() for k, p in params.items()}
         ref_m = {k: np.zeros(s) for k, s in shapes.items()}
         ref_v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = AdamW(params, lr, wd, b1, b2, eps)
+        opt = AdamW(params, lr, wd)
         for step in range(1, 6):
             for k, p in params.items():
                 p.grad = (None if k == "idle" or (k == "w" and step == 3)
                           else rng.normal(size=shapes[k]))
                 whole_array_update(ref[k], p.grad, ref_m[k], ref_v[k], step,
-                                   lr, wd, b1, b2, eps)
+                                   lr, wd)
             opt.step()
             for k, p in params.items():
                 assert np.array_equal(p.data, ref[k]), (step, k)
@@ -203,7 +204,7 @@ class TestAdamW:
         # Two parameters reach tensor.BESIDE_FROM entries. The table's
         # halves are 2,049 and 2,048 rows, so its whole pass's block of
         # rows [2048, 2560) crosses the border.
-        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        lr, wd = 0.01, 0.1
         shapes = {"table": (4097, 64), "long": (300_001,), "w": (4, 4)}
         big = [k for k, s in shapes.items() if math.prod(s) >= T.BESIDE_FROM]
         assert big == ["table", "long"]
@@ -217,13 +218,13 @@ class TestAdamW:
         ref = {k: p.data.copy() for k, p in params.items()}
         ref_m = {k: np.zeros(s) for k, s in shapes.items()}
         ref_v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = AdamW(params, lr, wd, b1, b2, eps)
+        opt = AdamW(params, lr, wd)
         for step in range(1, 4):
             for k, p in params.items():
                 p.grad = (None if k == "table" and step == 2
                           else rng.normal(size=shapes[k]))
                 whole_array_update(ref[k], p.grad, ref_m[k], ref_v[k], step,
-                                   lr, wd, b1, b2, eps)
+                                   lr, wd)
             opt.step()
             for k, p in params.items():
                 assert np.array_equal(p.data, ref[k]), (step, k)
@@ -283,7 +284,7 @@ class TestAdamW:
 class TestPlateauScheduler:
     def test_flat_metric_reduces_on_schedule(self):
         opt = AdamW({}, lr=0.001)
-        sched = PlateauScheduler(opt, factor=0.5, patience=10)
+        sched = PlateauScheduler(opt, patience=10)
         reduced_at = [epoch for epoch in range(1, 22)
                       if sched.step(0.5)]
         # epoch 1 sets the best; 10 stale epochs trip at 11, then at 21
@@ -293,20 +294,20 @@ class TestPlateauScheduler:
 
     def test_improving_metric_never_reduces(self):
         opt = AdamW({}, lr=0.001)
-        sched = PlateauScheduler(opt, factor=0.5, patience=3)
+        sched = PlateauScheduler(opt, patience=3)
         assert not any(sched.step(m) for m in np.linspace(0.1, 0.9, 30))
         assert opt.lr == 0.001
 
     def test_improvement_resets_the_stale_counter(self):
         opt = AdamW({}, lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.5, patience=3)
+        sched = PlateauScheduler(opt, patience=3)
         for metric in (0.5, 0.4, 0.4, 0.6, 0.4, 0.4):
             assert not sched.step(metric)
         assert sched.step(0.4)  # third stale epoch after the 0.6 best
 
     def test_matching_the_best_counts_as_stale(self):
         opt = AdamW({}, lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.5, patience=2)
+        sched = PlateauScheduler(opt, patience=2)
         sched.step(0.5)
         assert not sched.step(0.5)
         assert sched.step(0.5)  # strict > means two equal epochs trip it
@@ -316,7 +317,7 @@ class TestAnnealLambda:
     def test_matches_closed_form_for_200_steps(self):
         lam = 0.01
         for k in range(1, 201):
-            lam = anneal_lambda(lam, decay=0.95, floor=0.001)
+            lam = anneal_lambda(lam)
             assert abs(lam - max(0.001, 0.01 * 0.95 ** k)) < 1e-15
 
     def test_floor_is_absorbing(self):
@@ -371,8 +372,8 @@ class TestTrainLoop:
         cfg = small_cfg(epochs=10)
         result = train(store, cfg)
         for k, rec in enumerate(result.records):
-            expected = max(cfg.lambda_ent_min,
-                           cfg.lambda_ent_init * cfg.lambda_ent_decay ** k)
+            expected = max(LAMBDA_ENT_MIN,
+                           cfg.lambda_ent_init * LAMBDA_ENT_DECAY ** k)
             assert abs(rec.lambda_ent - expected) < 1e-15
 
     def test_fixed_variant_pins_lambda_to_zero(self, store):
