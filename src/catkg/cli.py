@@ -147,6 +147,8 @@ def _load_cfg(args) -> TrainConfig:
 
 
 def _out_dir(args) -> Path:
+    """The run directory, made now: each command calls this only once its
+    inputs are checked, so a refused run leaves no directory behind."""
     out = Path(args.out_dir) if args.out_dir else Path("runs") / args.command
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -163,21 +165,19 @@ def _require_data(cfg: TrainConfig) -> None:
         raise PathError(f"config must set {', '.join(missing)}")
 
 
-def _load_data(args) -> tuple[TrainConfig, Path, kg_mod.TripleStore]:
-    """Config, run directory and dataset of a train/eval/route-export run."""
+def _load_data(args) -> tuple[TrainConfig, kg_mod.TripleStore]:
+    """Config and dataset of a train/eval/route-export run."""
     cfg = _load_cfg(args)
     _require_data(cfg)
-    out_dir = _out_dir(args)
     store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
-    return cfg, out_dir, store
+    return cfg, store
 
 
-def _load_trained(args) -> tuple[TrainConfig, Path, kg_mod.TripleStore,
-                                 KgModel]:
+def _load_trained(args) -> tuple[TrainConfig, kg_mod.TripleStore, KgModel]:
     """:func:`_load_data` plus the model in ``args.checkpoint``."""
-    cfg, out_dir, store = _load_data(args)
+    cfg, store = _load_data(args)
     model = KgModel(store.n_entities, store.n_relations, cfg)
-    return cfg, out_dir, store, load_model(args.checkpoint, model)
+    return cfg, store, load_model(args.checkpoint, model)
 
 
 def _sha256(path) -> str:
@@ -224,12 +224,14 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
 
 def _cmd_train(args) -> None:
     t0 = time.perf_counter()
-    cfg, out_dir, store = _load_data(args)
+    cfg, store = _load_data(args)
     t_load = time.perf_counter() - t0
-    # Checked before epochs.log is opened, so a refused run leaves no file.
+    # Checked before the run directory is made, so a refused run leaves
+    # none.
     for split in kg_mod.SPLITS:
         store.nonempty(split, "train with")
 
+    out_dir = _out_dir(args)
     log_path = out_dir / "epochs.log"
     t0 = time.perf_counter()
     with open(log_path, "w", encoding="utf-8") as log_stream:
@@ -268,10 +270,11 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    cfg, out_dir, store, model = _load_trained(args)
+    cfg, store, model = _load_trained(args)
     t0 = time.perf_counter()
     metrics = evaluate(store, model, args.split)
     t_eval = time.perf_counter() - t0
+    out_dir = _out_dir(args)
 
     lines = metrics.lines(args.split, cfg.seed)
     for line in lines:
@@ -291,7 +294,6 @@ def _cmd_eval(args) -> None:
 
 def _cmd_bench(args) -> None:
     cfg = _load_cfg(args)
-    out_dir = _out_dir(args)
     if cfg.train_path:
         _require_data(cfg)
         store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
@@ -332,6 +334,7 @@ def _cmd_bench(args) -> None:
 
     text = "\n".join(report)
     print(text)
+    out_dir = _out_dir(args)
     with atomic_write(out_dir / "bench.txt", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -344,7 +347,8 @@ def _cmd_bench(args) -> None:
 
 
 def _cmd_route_export(args) -> None:
-    cfg, out_dir, store, model = _load_trained(args)
+    cfg, store, model = _load_trained(args)
+    out_dir = _out_dir(args)
     out_path = Path(args.out) if args.out else out_dir / "routing.tsv"
     t0 = time.perf_counter()
     means = export_routing(model, store, args.split, out_path)

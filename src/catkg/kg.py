@@ -346,10 +346,14 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     computes the loss and, when the logits need a gradient, the gradient
     for a unit upstream gradient; it runs over the row parts of
     ``tensor.in_halves``, and the loss is summed afterwards in the
-    caller. The gradient is written into ``out``, a
-    C-contiguous float64 (B, n) array apart from the logits, which holds
-    it from the forward onward; the caller may reuse ``out`` only after
-    the tape's backward has run. Without ``out`` a new array is allocated.
+    caller. The gradient is written into ``out``, a C-contiguous float64
+    (B, n) array, which holds it from the forward onward; the caller may
+    reuse ``out`` only after the tape's backward has run. ``out`` may be
+    the logits' own array: the pass then overwrites the logits (with the
+    gradient, when they need one), and the loss and gradient keep the
+    bits of a separate buffer. An ``out`` that only partly overlaps the
+    logits is a :class:`ShapeError`. Without ``out`` a new array is
+    allocated.
     """
     if not 0 <= epsilon < 1:
         raise ConfigError(f"label smoothing must be in [0, 1), got {epsilon}")
@@ -367,9 +371,11 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     if targets.min() < 0 or targets.max() >= n:
         raise IndexLookupError(f"target index out of bounds for {n} classes")
     T.check_out(out, logits.shape, "smoothed_ce_loss")
-    if out is not None and np.may_share_memory(out, logits.data):
-        raise ShapeError("smoothed_ce_loss needs an out buffer apart from"
-                         " the logits")
+    x = logits.data
+    if (out is not None and np.may_share_memory(out, x) and not
+            (x.flags.c_contiguous and out.ctypes.data == x.ctypes.data)):
+        raise ShapeError("smoothed_ce_loss needs an out buffer that is the"
+                         " logits or apart from them")
     # The target row y is `off` everywhere plus `on` at the true tail, and
     # log p = x - shift with shift = max + log z, so sum(y * log p) needs
     # only x[t], sum(x) and shift: no (B, n) log-probability array.
@@ -377,7 +383,8 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     on = 1.0 - epsilon - off
     batch = targets.size
     rows = np.arange(batch)
-    x = logits.data
+    # Read before the pass, which may overwrite the logits.
+    x_target = x[rows, targets]
     grad = np.empty(x.shape) if out is None else out
     inv_batch = 1.0 / batch
     shift = np.empty(batch)
@@ -391,20 +398,20 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
             block = slice(start, min(start + step, part.stop))
             xb = x[block]
             e = grad[block]
+            # e may be these very rows: both reductions come first.
             top = xb.max(axis=-1, keepdims=True)
+            xb.sum(axis=-1, out=x_sum[block])
             np.subtract(xb, top, out=e)
             np.exp(e, out=e)
             z = e.sum(axis=-1, keepdims=True)
             shift[block] = (top + np.log(z))[:, 0]
-            xb.sum(axis=-1, out=x_sum[block])
             if logits.requires_grad:
                 # y sums to 1, so d(loss)/d(logits) = (softmax - y) / B.
                 e *= inv_batch / z
                 e -= off * inv_batch
 
     T.in_halves(row_blocks, batch, x.size)
-    loss = -(on * (x[rows, targets] - shift)
-             + off * (x_sum - n * shift)).mean()
+    loss = -(on * (x_target - shift) + off * (x_sum - n * shift)).mean()
     if logits.requires_grad:
         grad[rows, targets] -= on * inv_batch
 
@@ -503,7 +510,8 @@ def _first_nonfinite_row(scores: np.ndarray, flags: np.ndarray) -> int:
 CHECK_BLOCK_ROWS = 16
 
 
-def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
+def evaluate(store: TripleStore, model: KgModel, split: str,
+             out: np.ndarray | None = None) -> Metrics:
     """Filtered MRR / Hits@10 and mean routing weights over a split.
 
     Runs in eval mode, :data:`EVAL_BATCH` queries per forward; a batch's
@@ -514,20 +522,29 @@ def evaluate(store: TripleStore, model: KgModel, split: str) -> Metrics:
     after it in the caller's.
     A batch counts only once it is all finite; else
     :class:`NumericsError` names its first non-finite query.
+
+    With ``out``, an array whose first ``min(EVAL_BATCH, len(split))``
+    rows are a C-contiguous float64 array of ``n_entities`` columns, each
+    batch's scores are written into its leading rows, as
+    :meth:`KgModel.score`'s ``out`` takes them; without it a new array is
+    allocated. The metrics do not depend on which.
     """
     triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0
     hits = 0
     alpha_sum = np.zeros(3)
     index = store.filter_index
-    buf = np.empty((min(EVAL_BATCH, triples.shape[0]), store.n_entities))
-    flags = np.empty((min(CHECK_BLOCK_ROWS, buf.shape[0]), store.n_entities),
-                     dtype=bool)
+    rows, width = min(EVAL_BATCH, triples.shape[0]), store.n_entities
+    if out is None:
+        out = np.empty((rows, width))
+    # Every batch scores into leading rows, so only those are checked.
+    T.check_out(out[:rows], (rows, width), "evaluate")
+    flags = np.empty((min(CHECK_BLOCK_ROWS, rows), width), dtype=bool)
     for start in range(0, triples.shape[0], EVAL_BATCH):
         batch = triples[start:start + EVAL_BATCH]
         lo, hi = index.spans(batch[:, 0], batch[:, 1])
         logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
-                                    out=buf[:batch.shape[0]])
+                                    out=out[:batch.shape[0]])
         scores = logits.data
         if alpha is not None:
             alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)

@@ -730,13 +730,18 @@ def xavier_uniform(shape: Sequence[int], seed: int) -> Tensor:
 
     Applies to weight matrices (fan_in, fan_out) and embedding tables
     (rows, dim) alike; the bound is symmetric in the two extents.
-    Deterministic for a fixed (shape, seed).
+    Deterministic for a fixed (shape, seed). A shape whose float64 bytes
+    exceed ``np.intp`` raises :class:`MemoryError`, naming the shape.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != 2:
         raise ShapeError(f"xavier_uniform needs a 2-D shape, got {shape}")
     if min(shape) <= 0:
         raise ShapeError(f"xavier_uniform shape has a zero dimension: {shape}")
+    # numpy refuses a larger array with a ValueError before allocating.
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a float64 {shape} table does not fit in the"
+                          f" address space")
     bound = math.sqrt(6.0 / (shape[0] + shape[1]))
     rng = np.random.default_rng(seed)
     return Tensor(rng.uniform(-bound, bound, size=shape))

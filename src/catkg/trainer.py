@@ -202,6 +202,11 @@ def train(store: TripleStore, cfg: TrainConfig,
     epoch with the highest validation MRR. Fixed-geometry variants use
     the identical loop with the entropy weight pinned to zero. An empty
     train or valid split is rejected before the first step.
+
+    The run allocates one (rows, n_entities) array, with rows the larger
+    of the batch (at most the train split) and ``min(EVAL_BATCH,
+    len(valid))``: each step's logits, the loss's gradient written over
+    them, and every validation's scores share it.
     """
     for split in ("train", "valid"):
         store.nonempty(split, "train with")
@@ -222,10 +227,11 @@ def train(store: TripleStore, cfg: TrainConfig,
     records: list[EpochRecord] = []
     best_epoch = 0
     best_state: dict[str, np.ndarray] = {}
-    # Every step writes its logits and the loss's gradient here; the
-    # previous step's tape, the only reader, has been consumed by then.
-    logits_buf = np.empty((min(cfg.batch_size, n_train), store.n_entities))
-    grad_buf = np.empty_like(logits_buf)
+    # A step's backward reads the gradient the loss wrote over its logits
+    # before the next step or validation writes here.
+    scores_buf = np.empty((max(min(cfg.batch_size, n_train),
+                               min(EVAL_BATCH, store.valid.shape[0])),
+                           store.n_entities))
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -235,10 +241,9 @@ def train(store: TripleStore, cfg: TrainConfig,
             with T.Tape() as tape:
                 logits, alpha = model.score(triples[idx, 0], triples[idx, 1],
                                             training=True, rng=dropout_rng,
-                                            out=logits_buf[:idx.size])
+                                            out=scores_buf[:idx.size])
                 loss = smoothed_ce_loss(logits, triples[idx, 2],
-                                        cfg.label_smoothing,
-                                        out=grad_buf[:idx.size])
+                                        cfg.label_smoothing, out=logits.data)
                 if is_cat:
                     loss = total_loss(loss, routing_entropy(alpha), lam)
             loss_value = loss.item()
@@ -252,7 +257,7 @@ def train(store: TripleStore, cfg: TrainConfig,
             loss_sum += loss_value * idx.size
 
         try:
-            valid_metrics = evaluate(store, model, "valid")
+            valid_metrics = evaluate(store, model, "valid", out=scores_buf)
         except NumericsError as exc:
             raise NumericsError(
                 f"{exc} at epoch {epoch} (validation)") from exc

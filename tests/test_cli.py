@@ -588,6 +588,7 @@ class TestEvalCommand:
             "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert stderr.startswith("error: path-error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_parameters_are_reported(self, trained, tmp_path):
         tensors = load_checkpoint(trained["checkpoint"])
@@ -961,6 +962,20 @@ class TestErrorSurface:
         assert handlers == [signal.default_int_handler]
         assert signal.getsignal(signal.SIGTERM) is before
 
+    def test_oversized_table_is_out_of_memory(self, tmp_path):
+        # 14,541 × 2⁵⁰ float64 values are more bytes than an address
+        # space holds, so numpy would refuse the shape without trying.
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"model.d = {2 ** 50}\nmodel.heads = 2\n",
+                       encoding="utf-8")
+        out = tmp_path / "bench"
+        code, stdout, stderr = run_cli(["bench", "--config", str(cfg),
+                                        "--out-dir", str(out)])
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: out-of-memory: a float64 (14541, {2 ** 50})"
+                          f" table does not fit in the address space\n")
+        assert not out.exists()
+
     def test_config_syntax_error_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.d 16\n", encoding="utf-8")
@@ -1009,10 +1024,7 @@ class TestErrorSurface:
         assert code == 1 and stdout == ""
         assert stderr == ("error: invalid-config: cannot train with an "
                           f"empty {split!r} split\n")
-        assert not (out / "model.catw").exists()
-        assert not (out / "manifest.json").exists()
-        log = out / "epochs.log"
-        assert not log.exists()
+        assert not out.exists()
 
     def test_malformed_dataset_line_exits_one(self, tmp_path):
         paths = write_dataset(tmp_path)
@@ -1026,3 +1038,4 @@ class TestErrorSurface:
         assert code == 1
         assert stderr.startswith("error: parse-error: ")
         assert f"{broken}:3" in stderr
+        assert not (tmp_path / "out").exists()

@@ -1031,13 +1031,58 @@ class TestSmoothedCE:
         np.empty((4, 7), np.float32),
         np.empty((4, 7), order="F"),
         np.empty((4, 14))[:, ::2],
-        "logits",                      # the logits themselves
+        "partial_overlap",             # the logits' rows 1-3 and one more
     ])
     def test_bad_exponentials_buffer_is_rejected(self, buf):
-        logits = Tensor(np.zeros((4, 7)))
+        rows = np.zeros((5, 7))
+        logits = Tensor(rows[:4])
         with pytest.raises(ShapeError):
             smoothed_ce_loss(logits, [0, 1, 2, 3],
-                             out=logits.data if isinstance(buf, str) else buf)
+                             out=rows[1:] if isinstance(buf, str) else buf)
+
+    def test_buffer_at_the_logits_start_in_another_layout_is_rejected(self):
+        # Strided logits whose first value is out's: they share memory
+        # without being the same array.
+        rows = np.zeros((4, 14))
+        logits = Tensor(rows[:, ::2])
+        with pytest.raises(ShapeError):
+            smoothed_ce_loss(logits, [0, 1, 2, 3],
+                             out=rows.reshape(-1)[:28].reshape(4, 7))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("batch, n, budget", [
+        (4, 7, None),       # one block
+        (12, 9, 27),        # three rows per block
+        (8, 14541, None),   # the module's budget: blocks of 6 and 2 rows
+        (37, 7085, None),   # two row halves of several blocks each
+    ])
+    def test_logits_as_buffer_match_a_separate_buffer(self, monkeypatch, eps,
+                                                      batch, n, budget):
+        if budget is not None:
+            monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(batch + n)
+        x = rng.normal(size=(batch, n)) * 30.0
+        targets = rng.integers(n, size=batch)
+        results = []
+        for in_place in (False, True):
+            logits = Tensor(x.copy(), requires_grad=True)
+            out = logits.data if in_place else np.full(x.shape, np.nan)
+            with T.Tape() as tape:
+                loss = smoothed_ce_loss(logits, targets, eps, out=out)
+            tape.backward(loss)
+            results.append((loss.data, logits.grad))
+        (loss, grad), (in_place_loss, in_place_grad) = results
+        assert in_place_loss == loss
+        assert np.array_equal(in_place_grad, grad)
+
+    def test_logits_as_buffer_without_gradient_give_the_value(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(7, 9)) * 3.0
+        targets = rng.integers(9, size=7)
+        ref = smoothed_ce_loss(Tensor(x), targets, 0.1)
+        logits = Tensor(x.copy())
+        assert smoothed_ce_loss(logits, targets, 0.1,
+                                out=logits.data).data == ref.data
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
@@ -1445,6 +1490,43 @@ class TestEvaluate:
                 == self.ranking(whole))
         assert [buf.shape for buf in seen] == [(2, 12), (2, 12), (1, 12)]
         assert all(np.shares_memory(buf, seen[0]) for buf in seen)
+
+    def test_out_buffer_gives_the_same_metrics(self, monkeypatch):
+        # Five triples in batches of two: each batch scores into the
+        # leading rows of a buffer longer than a batch.
+        store = build_toy_store(n_entities=12, n_train=20, n_test=5)
+        model = KgModel(12, store.n_relations, TrainConfig(d=8, heads=2,
+                                                           seed=2))
+        monkeypatch.setattr(kg_mod, "EVAL_BATCH", 2)
+        whole = evaluate(store, model, "test")
+        buf = np.full((3, 12), np.nan)
+        seen = []
+        score = model.score
+
+        def spy(heads, relations, training=False, rng=None, out=None):
+            seen.append(out)
+            return score(heads, relations, training, rng, out)
+
+        model.score = spy
+        assert evaluate(store, model, "test", out=buf) == whole
+        assert [out.shape for out in seen] == [(2, 12), (2, 12), (1, 12)]
+        assert all(np.shares_memory(out, buf[:2]) for out in seen)
+
+    @pytest.mark.parametrize("buf", [
+        np.empty((2, 12)),             # too few rows for a batch of three
+        np.empty((3, 11)),             # another number of entities
+        np.empty((3, 12), np.float32),
+        np.empty((3, 12), order="F"),
+        np.empty((3, 24))[:, ::2],
+        np.empty(36),                  # no row axis
+        [[0.0] * 12] * 3,              # not an array
+    ], ids=["rows", "columns", "dtype", "fortran", "strided", "flat", "list"])
+    def test_bad_out_buffer_is_rejected(self, buf):
+        store = build_toy_store(n_entities=12, n_train=20, n_test=3)
+        model = KgModel(12, store.n_relations, TrainConfig(d=8, heads=2,
+                                                           seed=2))
+        with pytest.raises(ShapeError):
+            evaluate(store, model, "test", out=buf)
 
     def test_every_check_path_gives_equal_metrics(self, monkeypatch):
         # 960 test rows of 1,100 scores reach the package's threshold, so

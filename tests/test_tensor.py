@@ -150,6 +150,13 @@ class TestXavierUniform:
         with pytest.raises(ShapeError):
             T.xavier_uniform((0, 4), seed=0)
 
+    def test_table_beyond_the_address_space_is_a_memory_error(self):
+        # One float64 value past np.intp's bytes; numpy would raise a
+        # ValueError for this shape before allocating anything.
+        rows = np.iinfo(np.intp).max // 8 + 1
+        with pytest.raises(MemoryError, match=rf"\({rows}, 1\)"):
+            T.xavier_uniform((rows, 1), seed=0)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

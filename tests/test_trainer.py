@@ -426,6 +426,38 @@ class TestTrainLoop:
         assert [out.shape[0] for out in steps] == [25, 25, 10] * 2
         assert all(np.shares_memory(out, steps[0]) for out in steps)
 
+    def test_validation_scores_into_the_training_buffer(self, store,
+                                                        monkeypatch):
+        # Ten valid triples: each validation ranks in the leading rows of
+        # the array the steps score into, so one array serves the run.
+        seen = record_out_buffers(monkeypatch)
+        train(store, small_cfg(epochs=2, batch_size=25))
+        steps = [out for training, out in seen if training]
+        valid = [out for training, out in seen if not training]
+        assert [out.shape[0] for out in valid] == [10, 10]
+        assert all(np.shares_memory(out, steps[0]) for out in valid)
+        assert all(out.base is steps[0].base for out in steps + valid)
+
+    def test_holds_one_scores_array(self):
+        # 256 train and valid triples over 8,192 entities: one (256, n)
+        # array is 16 MiB, and the parameters, moments and gradients of a
+        # d = 8 model add about 3 MiB more. Separate arrays for the
+        # logits, the loss gradient and validation's scores would hold
+        # three times B·n.
+        batch, n = 256, 8192
+        store = build_toy_store(n_entities=n, n_train=batch, n_valid=batch,
+                                n_test=1)
+        cfg = small_cfg(d=8, epochs=1, batch_size=batch)
+        tracemalloc.start()
+        try:
+            result = train(store, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = sum(p.data.nbytes
+                     for p in result.model.parameters().values())
+        assert peak - params < 2 * batch * n * 8
+
     def test_loss_buffer_is_reused_only_after_backward(self, store,
                                                        monkeypatch):
         # The loss's exponentials become the logits gradient, so the buffer
