@@ -38,7 +38,8 @@ from .config import TrainConfig, KEY_MAP, load_config, serialize_config
 from .errors import CatkgError, PathError
 from .kg import ROUTING_COLUMNS, KgModel, evaluate, load_triples
 from .tensor import atomic_write, usable_cpus
-from .trainer import export_routing, load_model, save_model, train
+from .trainer import (export_routing, load_model, routing_triples,
+                      save_model, train)
 
 from pathlib import Path
 
@@ -348,6 +349,8 @@ def _cmd_bench(args) -> None:
 
 def _cmd_route_export(args) -> None:
     cfg, store, model = _load_trained(args)
+    # Checked before the run directory is made, so a refusal leaves none.
+    routing_triples(model, store, args.split)
     out_dir = _out_dir(args)
     out_path = Path(args.out) if args.out else out_dir / "routing.tsv"
     t0 = time.perf_counter()

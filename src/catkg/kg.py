@@ -25,8 +25,9 @@ from .tensor import Tensor
 LN3 = float(np.log(3.0))
 
 # Values per row block of smoothed_ce_loss's single pass: 768 KiB of
-# float64, so a block of the logits and of its gradient share a 2 MiB L2
-# (six rows of 14,541 entities), and a (512, 135) batch is one block.
+# float64 (six rows of 14,541 entities). Training writes the gradient over
+# the logits, so a block is read and rewritten while it stays in a 2 MiB
+# L2; a (512, 135) batch is one block.
 CE_BLOCK_ELEMENTS = 3 * 2 ** 15
 
 SPLITS = ("train", "valid", "test")
@@ -336,7 +337,7 @@ def score_all_tails(model: KgModel, h: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
-                     out: np.ndarray | None = None) -> Tensor:
+                     in_place: bool = False) -> Tensor:
     """Label-smoothed cross-entropy, averaged over the batch.
 
     The target row puts 1 - epsilon on the true tail and spreads epsilon
@@ -346,14 +347,11 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     computes the loss and, when the logits need a gradient, the gradient
     for a unit upstream gradient; it runs over the row parts of
     ``tensor.in_halves``, and the loss is summed afterwards in the
-    caller. The gradient is written into ``out``, a C-contiguous float64
-    (B, n) array, which holds it from the forward onward; the caller may
-    reuse ``out`` only after the tape's backward has run. ``out`` may be
-    the logits' own array: the pass then overwrites the logits (with the
-    gradient, when they need one), and the loss and gradient keep the
-    bits of a separate buffer. An ``out`` that only partly overlaps the
-    logits is a :class:`ShapeError`. Without ``out`` a new array is
-    allocated.
+    caller. The gradient is written into a new (B, n) array, or with
+    ``in_place`` over the logits' own array, which then holds it from the
+    forward onward: nothing may read the logits' values after this call,
+    and their array may be reused only after the tape's backward has run.
+    Either way the loss and the gradient have the same bits.
     """
     if not 0 <= epsilon < 1:
         raise ConfigError(f"label smoothing must be in [0, 1), got {epsilon}")
@@ -370,12 +368,7 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
             "label smoothing needs at least 2 classes to spread mass over")
     if targets.min() < 0 or targets.max() >= n:
         raise IndexLookupError(f"target index out of bounds for {n} classes")
-    T.check_out(out, logits.shape, "smoothed_ce_loss")
     x = logits.data
-    if (out is not None and np.may_share_memory(out, x) and not
-            (x.flags.c_contiguous and out.ctypes.data == x.ctypes.data)):
-        raise ShapeError("smoothed_ce_loss needs an out buffer that is the"
-                         " logits or apart from them")
     # The target row y is `off` everywhere plus `on` at the true tail, and
     # log p = x - shift with shift = max + log z, so sum(y * log p) needs
     # only x[t], sum(x) and shift: no (B, n) log-probability array.
@@ -385,7 +378,7 @@ def smoothed_ce_loss(logits: Tensor, targets, epsilon: float = 0.1,
     rows = np.arange(batch)
     # Read before the pass, which may overwrite the logits.
     x_target = x[rows, targets]
-    grad = np.empty(x.shape) if out is None else out
+    grad = x if in_place else np.empty(x.shape)
     inv_batch = 1.0 / batch
     shift = np.empty(batch)
     x_sum = np.empty(batch)
@@ -523,11 +516,11 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
     A batch counts only once it is all finite; else
     :class:`NumericsError` names its first non-finite query.
 
-    With ``out``, an array whose first ``min(EVAL_BATCH, len(split))``
-    rows are a C-contiguous float64 array of ``n_entities`` columns, each
-    batch's scores are written into its leading rows, as
-    :meth:`KgModel.score`'s ``out`` takes them; without it a new array is
-    allocated. The metrics do not depend on which.
+    With ``out``, each batch's scores are written into its leading rows,
+    which ``tensor.inner`` checks are a C-contiguous float64 array of
+    ``n_entities`` columns (else :class:`ShapeError`); without it a new
+    array of ``min(EVAL_BATCH, len(split))`` rows is allocated. The
+    metrics do not depend on which.
     """
     triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0
@@ -537,8 +530,6 @@ def evaluate(store: TripleStore, model: KgModel, split: str,
     rows, width = min(EVAL_BATCH, triples.shape[0]), store.n_entities
     if out is None:
         out = np.empty((rows, width))
-    # Every batch scores into leading rows, so only those are checked.
-    T.check_out(out[:rows], (rows, width), "evaluate")
     flags = np.empty((min(CHECK_BLOCK_ROWS, rows), width), dtype=bool)
     for start in range(0, triples.shape[0], EVAL_BATCH):
         batch = triples[start:start + EVAL_BATCH]

@@ -521,19 +521,6 @@ def affine(x, w, b) -> Tensor:
     return node(y.reshape(x.shape[:-1] + (n,)), (x, w, b), backward_fn)
 
 
-def check_out(out: Array | None, shape: tuple[int, ...], op: str) -> None:
-    """Raise ShapeError unless ``out`` is None or a C-contiguous float64
-    array of ``shape``, as an op that writes into a caller's buffer needs."""
-    if out is not None and not (isinstance(out, np.ndarray)
-                                and out.dtype == np.float64
-                                and out.shape == shape
-                                and out.flags.c_contiguous):
-        found = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
-                 else type(out).__name__)
-        raise ShapeError(f"{op} needs a C-contiguous float64 {shape} out"
-                         f" buffer, got {found}")
-
-
 # Entries of a (B, n) array from which its work runs in two parts, the
 # second beside the caller: inner's forward, smoothed_ce_loss's pass,
 # AdamW's update of a parameter that large and the untaped eval-mode query
@@ -636,7 +623,9 @@ def inner(q, table, out: Array | None = None) -> Tensor:
     """``q @ tableᵀ``: (B, d) queries against every row of an (n, d) table.
 
     With ``out`` the (B, n) result is written into that float64,
-    C-contiguous array, which the caller owns and may overwrite once the
+    C-contiguous array (any other ``out`` is a :class:`ShapeError`, the
+    one check ``kg.KgModel.score`` and ``kg.evaluate`` make of a score
+    buffer), which the caller owns and may overwrite once the
     forward value has been read: the backward ``(g @ table, (qᵀ @ g)ᵀ)``
     reads only ``q``, ``table`` and the incoming gradient. The forward
     runs over the row parts of :func:`in_halves`, and the backward runs
@@ -648,7 +637,14 @@ def inner(q, table, out: Array | None = None) -> Tensor:
         raise ShapeError(f"inner needs (B, d) and (n, d) operands, got"
                          f" {q.shape} and {table.shape}")
     (b, d), n = q.shape, table.shape[0]
-    check_out(out, (b, n), "inner")
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64
+                                and out.shape == (b, n)
+                                and out.flags.c_contiguous):
+        found = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
+                 else type(out).__name__)
+        raise ShapeError(f"inner needs a C-contiguous float64 {(b, n)} out"
+                         f" buffer, got {found}")
     y = np.empty((b, n)) if out is None else out
     # numpy releases the GIL inside BLAS.
     in_halves(lambda rows: np.matmul(q.data[rows], table.data.T,

@@ -243,7 +243,7 @@ def train(store: TripleStore, cfg: TrainConfig,
                                             training=True, rng=dropout_rng,
                                             out=scores_buf[:idx.size])
                 loss = smoothed_ce_loss(logits, triples[idx, 2],
-                                        cfg.label_smoothing, out=logits.data)
+                                        cfg.label_smoothing, in_place=True)
                 if is_cat:
                     loss = total_loss(loss, routing_entropy(alpha), lam)
             loss_value = loss.item()
@@ -317,6 +317,17 @@ def load_model(path, model: KgModel) -> KgModel:
     return model
 
 
+def routing_triples(model: KgModel, store: TripleStore,
+                    split: str) -> np.ndarray:
+    """The rows of ``split`` whose routing :func:`export_routing` writes:
+    :class:`UnsupportedVariantError` unless ``model`` routes (``cat``),
+    and :class:`ConfigError` if the split is empty."""
+    if model.variant != "cat":
+        raise UnsupportedVariantError(
+            f"routing export needs the 'cat' variant, got {model.variant!r}")
+    return store.nonempty(split, "export routing of")
+
+
 def export_routing(model: KgModel, store: TripleStore, split: str,
                    out_path) -> np.ndarray:
     """Write per-triple routing weights for a split as TAB-delimited text.
@@ -327,10 +338,7 @@ def export_routing(model: KgModel, store: TripleStore, split: str,
     weight raises :class:`NumericsError`, naming its query, before the
     table replaces any file.
     """
-    if model.variant != "cat":
-        raise UnsupportedVariantError(
-            f"routing export needs the 'cat' variant, got {model.variant!r}")
-    triples = store.nonempty(split, "export routing of")
+    triples = routing_triples(model, store, split)
     entity_names = {i: s for s, i in store.entity_index.items()}
     relation_names = {i: s for s, i in store.relation_index.items()}
     alpha_sum = np.zeros(3)

@@ -724,7 +724,7 @@ class TestRouteExportCommand:
         assert code == 1 and stdout == ""
         assert stderr == ("error: invalid-config: cannot export routing of "
                           "an empty 'test' split\n")
-        assert not (out / "routing.tsv").exists()
+        assert not out.exists()
 
     def test_non_finite_weights_exit_one_and_leave_no_table(self, trained,
                                                             tmp_path):
@@ -751,13 +751,15 @@ class TestRouteExportCommand:
                                 "--variant", "spherical",
                                 "--out-dir", str(out)])
         assert code == 0, err
+        routes = tmp_path / "routes"
         code, _, stderr = run_cli([
             "route-export", "--config", str(trained["config"]),
             "--variant", "spherical",
             "--checkpoint", str(out / "model.catw"),
-            "--out-dir", str(tmp_path / "routes")])
+            "--out-dir", str(routes)])
         assert code == 1
         assert stderr.startswith("error: unsupported-variant: ")
+        assert not routes.exists()
 
 
 class TestBenchCommand:

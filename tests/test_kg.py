@@ -611,19 +611,18 @@ class TestModelScoring:
 
     def test_leaf_gradients_share_no_memory(self):
         model = KgModel(12, 4, TrainConfig(d=8, heads=2, seed=3))
-        logits_buf, loss_buf = np.empty((4, 12)), np.empty((4, 12))
+        logits_buf = np.empty((4, 12))
         with T.Tape() as tape:
             logits, alpha = model.score(np.array([0, 5, 9, 5]),
                                         np.array([1, 3, 0, 2]), training=True,
                                         rng=np.random.default_rng(0),
                                         out=logits_buf)
-            ce = smoothed_ce_loss(logits, [2, 4, 6, 11], out=loss_buf)
+            ce = smoothed_ce_loss(logits, [2, 4, 6, 11], in_place=True)
             loss = total_loss(ce, routing_entropy(alpha), 0.01)
         tape.backward(loss)
         grads = [p.grad for p in model.parameters().values()
                  if p.grad is not None]
         for i, g in enumerate(grads):
-            assert not np.shares_memory(g, loss_buf)
             assert not np.shares_memory(g, logits_buf)
             assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
 
@@ -1012,44 +1011,6 @@ class TestSmoothedCE:
         assert np.array_equal(logits.data, x)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_exponentials_buffer_matches_a_new_array(self, eps):
-        x = np.random.default_rng(5).normal(size=(4, 7)) * 30
-        results = []
-        for out in (None, np.full((4, 7), np.nan)):
-            logits = Tensor(x.copy(), requires_grad=True)
-            with T.Tape() as tape:
-                loss = smoothed_ce_loss(logits, [0, 6, 3, 3], eps, out=out)
-            tape.backward(loss)
-            results.append((loss.data, logits.grad))
-        (loss, grad), (buffered_loss, buffered_grad) = results
-        assert np.array_equal(loss, buffered_loss)
-        assert np.array_equal(grad, buffered_grad)
-
-    @pytest.mark.parametrize("buf", [
-        np.empty((4, 5)),              # another number of classes
-        np.empty((3, 7)),              # batch of another size
-        np.empty((4, 7), np.float32),
-        np.empty((4, 7), order="F"),
-        np.empty((4, 14))[:, ::2],
-        "partial_overlap",             # the logits' rows 1-3 and one more
-    ])
-    def test_bad_exponentials_buffer_is_rejected(self, buf):
-        rows = np.zeros((5, 7))
-        logits = Tensor(rows[:4])
-        with pytest.raises(ShapeError):
-            smoothed_ce_loss(logits, [0, 1, 2, 3],
-                             out=rows[1:] if isinstance(buf, str) else buf)
-
-    def test_buffer_at_the_logits_start_in_another_layout_is_rejected(self):
-        # Strided logits whose first value is out's: they share memory
-        # without being the same array.
-        rows = np.zeros((4, 14))
-        logits = Tensor(rows[:, ::2])
-        with pytest.raises(ShapeError):
-            smoothed_ce_loss(logits, [0, 1, 2, 3],
-                             out=rows.reshape(-1)[:28].reshape(4, 7))
-
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("batch, n, budget", [
         (4, 7, None),       # one block
         (12, 9, 27),        # three rows per block
@@ -1066,9 +1027,9 @@ class TestSmoothedCE:
         results = []
         for in_place in (False, True):
             logits = Tensor(x.copy(), requires_grad=True)
-            out = logits.data if in_place else np.full(x.shape, np.nan)
             with T.Tape() as tape:
-                loss = smoothed_ce_loss(logits, targets, eps, out=out)
+                loss = smoothed_ce_loss(logits, targets, eps,
+                                        in_place=in_place)
             tape.backward(loss)
             results.append((loss.data, logits.grad))
         (loss, grad), (in_place_loss, in_place_grad) = results
@@ -1082,7 +1043,7 @@ class TestSmoothedCE:
         ref = smoothed_ce_loss(Tensor(x), targets, 0.1)
         logits = Tensor(x.copy())
         assert smoothed_ce_loss(logits, targets, 0.1,
-                                out=logits.data).data == ref.data
+                                in_place=True).data == ref.data
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
@@ -1130,14 +1091,15 @@ class TestSmoothedCE:
         x = rng.normal(size=(batch, n)) * 30.0
         targets = rng.integers(n, size=batch)
         ref_loss, ref_grad = unblocked_smoothed_ce(x, targets, eps)
-        logits = Tensor(x.copy(), requires_grad=True)
-        with T.Tape() as tape:
-            loss = smoothed_ce_loss(logits, targets, eps,
-                                    out=np.full(x.shape, np.nan))
-        assert len(tape) == 1
-        tape.backward(loss)
-        assert loss.data == ref_loss
-        assert np.array_equal(logits.grad, ref_grad)
+        for in_place in (False, True):
+            logits = Tensor(x.copy(), requires_grad=True)
+            with T.Tape() as tape:
+                loss = smoothed_ce_loss(logits, targets, eps,
+                                        in_place=in_place)
+            assert len(tape) == 1
+            tape.backward(loss)
+            assert loss.data == ref_loss
+            assert np.array_equal(logits.grad, ref_grad)
 
     # B·n reaches tensor.BESIDE_FROM. The whole pass's CE blocks (13 and
     # 192 rows) put rows [13, 26) and [192, 384) across the halves' border.
@@ -1157,14 +1119,16 @@ class TestSmoothedCE:
         x = rng.normal(size=(batch, n)) * 30.0
         targets = rng.integers(n, size=batch)
         ref_loss, ref_grad = unblocked_smoothed_ce(x, targets, 0.1)
-        logits = Tensor(x, requires_grad=True)
-        with T.Tape() as tape:
-            loss = smoothed_ce_loss(logits, targets, 0.1,
-                                    out=np.full(x.shape, np.nan))
-        tape.backward(loss)
-        assert sizes == ([batch * n] if split else [])
-        assert loss.data == ref_loss
-        assert np.array_equal(logits.grad, ref_grad)
+        for in_place in (False, True):
+            sizes.clear()
+            logits = Tensor(x.copy(), requires_grad=True)
+            with T.Tape() as tape:
+                loss = smoothed_ce_loss(logits, targets, 0.1,
+                                        in_place=in_place)
+            tape.backward(loss)
+            assert sizes == ([batch * n] if split else [])
+            assert loss.data == ref_loss
+            assert np.array_equal(logits.grad, ref_grad)
 
     def test_upstream_gradient_scales_the_unit_gradient(self, monkeypatch):
         monkeypatch.setattr(kg_mod, "CE_BLOCK_ELEMENTS", 18)
@@ -1191,29 +1155,34 @@ class TestSmoothedCE:
         x = rng.normal(size=(7, 9)) * 3.0
         targets = rng.integers(9, size=7)
         ref_loss, _ = unblocked_smoothed_ce(x, targets, 0.1)
-        for out in (None, np.full(x.shape, np.nan)):
+        for in_place in (False, True):
             with T.Tape() as tape:
-                loss = smoothed_ce_loss(Tensor(x), targets, 0.1, out=out)
+                loss = smoothed_ce_loss(Tensor(x.copy()), targets, 0.1,
+                                        in_place=in_place)
             assert loss.data == ref_loss
             assert not loss.requires_grad and len(tape) == 0
 
     def test_allocates_less_than_a_block(self):
         rng = np.random.default_rng(8)
-        logits = Tensor(rng.normal(size=(64, 20000)), requires_grad=True)
+        x = rng.normal(size=(64, 20000))
         targets = rng.integers(20000, size=64)
-        buf = np.empty(logits.shape)
-        tracemalloc.start()
-        try:
-            with T.Tape() as tape:
-                # Recorded as made on the tape, the logits are no leaf, so
-                # the backward copies their gradient nowhere.
-                tape.record(logits, (), lambda g: ())
-                loss = smoothed_ce_loss(logits, targets, 0.1, out=buf)
-            tape.backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < kg_mod.CE_BLOCK_ELEMENTS * 8 + 64 * 1024
+        for in_place in (False, True):
+            logits = Tensor(x.copy(), requires_grad=True)
+            # A new gradient array is one allocation of the logits' size.
+            budget = 0 if in_place else x.nbytes
+            tracemalloc.start()
+            try:
+                with T.Tape() as tape:
+                    # Recorded as made on the tape, the logits are no leaf,
+                    # so the backward copies their gradient nowhere.
+                    tape.record(logits, (), lambda g: ())
+                    loss = smoothed_ce_loss(logits, targets, 0.1,
+                                            in_place=in_place)
+                tape.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < budget + kg_mod.CE_BLOCK_ELEMENTS * 8 + 64 * 1024
 
 
 class TestRoutingEntropy:
