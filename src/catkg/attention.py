@@ -29,8 +29,9 @@ form instead of the general path:
 * Euclidean: ``ln2(h + ff(h))`` with ``h = ln1(x + wo(wv(x)))``, bitwise
   the general path's output; ``wq`` and ``wk`` get no gradient.
 * Hyperbolic: ``ff(radial_clip(wv(x), r_max))``, ``r_max =
-  artanh(1 - BOUNDARY_EPS)/sqrt(c)``: exp0, the ball projection and log0
-  of one value only cap its norm. ``wq`` gets no gradient.
+  artanh(1 - BOUNDARY_EPS)/sqrt(c)``, about 6.103 at the model's
+  ``c = CURVATURE = 1``: exp0, the ball projection and log0 of one value
+  only cap its norm. ``wq`` gets no gradient.
 * Spherical: ``ff(sphere_fold(x))``, the lift, chart clamp and log map of
   one token as one radial map (see :func:`manifolds.sphere_fold`).
 """
@@ -47,6 +48,9 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 VARIANTS = ("cat", "euclidean", "hyperbolic", "spherical")
+# The ball's curvature magnitude c in every model block: no checkpoint
+# tensor records c, so no config key may change it.
+CURVATURE = 1.0
 
 
 class Module:
@@ -280,16 +284,16 @@ class SingleGeometryBlock(Module):
 
 
 def build_block(variant: str, d: int, *, heads: int, ff_multiplier: int,
-                curvature: float, seed: int):
+                seed: int):
     """Construct the block for a model variant tag."""
     if variant == "cat":
-        return CatBlock(d, heads, ff_multiplier, curvature, seed)
+        return CatBlock(d, heads, ff_multiplier, CURVATURE, seed)
     if variant == "euclidean":
         return SingleGeometryBlock(
             variant, EuclideanBranch(d, heads, ff_multiplier, seed))
     if variant == "hyperbolic":
         return SingleGeometryBlock(
-            variant, HyperbolicBranch(d, curvature, ff_multiplier, seed))
+            variant, HyperbolicBranch(d, CURVATURE, ff_multiplier, seed))
     if variant == "spherical":
         return SingleGeometryBlock(
             variant, SphericalBranch(d, ff_multiplier, seed))

@@ -147,10 +147,14 @@ def _load_cfg(args) -> TrainConfig:
     return dataclasses.replace(load_config(args.config), **overrides)
 
 
+def _run_dir(args) -> Path:
+    return Path(args.out_dir) if args.out_dir else Path("runs") / args.command
+
+
 def _out_dir(args) -> Path:
     """The run directory, made now: each command calls this only once its
     inputs are checked, so a refused run leaves no directory behind."""
-    out = Path(args.out_dir) if args.out_dir else Path("runs") / args.command
+    out = _run_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -159,24 +163,19 @@ def _data_paths(cfg: TrainConfig) -> dict[str, str]:
     return {split: getattr(cfg, f"{split}_path") for split in kg_mod.SPLITS}
 
 
-def _require_data(cfg: TrainConfig) -> None:
+def _load_data(cfg: TrainConfig) -> kg_mod.TripleStore:
+    """The dataset of the config's three ``data.*_path`` keys, all set."""
     missing = [f"data.{split}_path"
                for split, path in _data_paths(cfg).items() if not path]
     if missing:
         raise PathError(f"config must set {', '.join(missing)}")
-
-
-def _load_data(args) -> tuple[TrainConfig, kg_mod.TripleStore]:
-    """Config and dataset of a train/eval/route-export run."""
-    cfg = _load_cfg(args)
-    _require_data(cfg)
-    store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
-    return cfg, store
+    return load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
 
 
 def _load_trained(args) -> tuple[TrainConfig, kg_mod.TripleStore, KgModel]:
-    """:func:`_load_data` plus the model in ``args.checkpoint``."""
-    cfg, store = _load_data(args)
+    """Config, dataset and the model in ``args.checkpoint``."""
+    cfg = _load_cfg(args)
+    store = _load_data(cfg)
     model = KgModel(store.n_entities, store.n_relations, cfg)
     return cfg, store, load_model(args.checkpoint, model)
 
@@ -225,7 +224,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
 
 def _cmd_train(args) -> None:
     t0 = time.perf_counter()
-    cfg, store = _load_data(args)
+    cfg = _load_cfg(args)
+    store = _load_data(cfg)
     t_load = time.perf_counter() - t0
     # Checked before the run directory is made, so a refused run leaves
     # none.
@@ -296,8 +296,7 @@ def _cmd_eval(args) -> None:
 def _cmd_bench(args) -> None:
     cfg = _load_cfg(args)
     if cfg.train_path:
-        _require_data(cfg)
-        store = load_triples(cfg.train_path, cfg.valid_path, cfg.test_path)
+        store = _load_data(cfg)
         n_entities, n_relations = store.n_entities, store.n_relations
     else:
         n_entities, n_relations = BENCH_ENTITIES, BENCH_RELATIONS
@@ -351,8 +350,11 @@ def _cmd_route_export(args) -> None:
     cfg, store, model = _load_trained(args)
     # Checked before the run directory is made, so a refusal leaves none.
     routing_triples(model, store, args.split)
+    out_path = Path(args.out) if args.out else _run_dir(args) / "routing.tsv"
+    parent = out_path.parent
+    if not (parent.is_dir() or parent == _run_dir(args)):
+        raise PathError(f"--out directory {str(parent)!r} does not exist")
     out_dir = _out_dir(args)
-    out_path = Path(args.out) if args.out else out_dir / "routing.tsv"
     t0 = time.perf_counter()
     means = export_routing(model, store, args.split, out_path)
     t_export = time.perf_counter() - t0

@@ -55,7 +55,6 @@ class TrainConfig:
     heads: int = _in("model", 4, ">= 1")
     ff_multiplier: int = _in("model", 2, ">= 1")
     variant: str = _in("model", "cat", VARIANTS)
-    curvature: float = _in("model", 1.0, "positive")
     batch_size: int = _in("train", 512, ">= 1")
     epochs: int = _in("train", 200, ">= 1")
     lr: float = _in("train", 0.001, "positive")

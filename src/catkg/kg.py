@@ -254,8 +254,7 @@ class KgModel(Module):
         self.relation_emb = T.xavier_uniform((n_relations, cfg.d), seed_r)
         self.relation_emb.requires_grad = True
         self.block = build_block(cfg.variant, cfg.d, heads=cfg.heads,
-                                 ff_multiplier=cfg.ff_multiplier,
-                                 curvature=cfg.curvature, seed=seed_b)
+                                 ff_multiplier=cfg.ff_multiplier, seed=seed_b)
         self.variant = cfg.variant
         self.dropout_p = cfg.dropout
 

@@ -506,8 +506,7 @@ class TestCatBlock:
 
 class TestBuildBlock:
     def test_cat_variant(self):
-        block = build_block("cat", 8, heads=2, ff_multiplier=2,
-                            curvature=1.0, seed=0)
+        block = build_block("cat", 8, heads=2, ff_multiplier=2, seed=0)
         assert isinstance(block, CatBlock)
 
     @pytest.mark.parametrize("variant,cls",
@@ -515,16 +514,14 @@ class TestBuildBlock:
                               ("hyperbolic", HyperbolicBranch),
                               ("spherical", SphericalBranch)])
     def test_fixed_variants(self, variant, cls):
-        block = build_block(variant, 8, heads=2, ff_multiplier=2,
-                            curvature=1.0, seed=0)
+        block = build_block(variant, 8, heads=2, ff_multiplier=2, seed=0)
         assert isinstance(block, SingleGeometryBlock)
         assert isinstance(getattr(block, variant), cls)
         assert all(n.startswith(variant + ".") for n in block.parameters())
 
     def test_fixed_variant_forward_matches_branch(self):
         rng = np.random.default_rng(22)
-        block = build_block("euclidean", 8, heads=2, ff_multiplier=2,
-                            curvature=1.0, seed=1)
+        block = build_block("euclidean", 8, heads=2, ff_multiplier=2, seed=1)
         x = Tensor(tokens(rng))
         out, alpha = block.forward(x)
         assert alpha is None
@@ -532,13 +529,11 @@ class TestBuildBlock:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
-            build_block("toroidal", 8, heads=2, ff_multiplier=2,
-                        curvature=1.0, seed=0)
+            build_block("toroidal", 8, heads=2, ff_multiplier=2, seed=0)
 
     def test_cat_router_overhead_is_small(self):
         d = 8
-        cat = build_block("cat", d, heads=2, ff_multiplier=2,
-                          curvature=1.0, seed=0)
+        cat = build_block("cat", d, heads=2, ff_multiplier=2, seed=0)
         total = parameter_count(cat)
         parts = sum(parameter_count(getattr(cat, n))
                     for n in ("euclidean", "hyperbolic", "spherical"))

@@ -133,7 +133,6 @@ def trained(tmp_path_factory):
 ALL_KEYS = [
     ("model.d", "d"), ("model.heads", "heads"),
     ("model.ff_multiplier", "ff_multiplier"), ("model.variant", "variant"),
-    ("model.curvature", "curvature"),
     ("train.batch_size", "batch_size"), ("train.epochs", "epochs"),
     ("train.lr", "lr"), ("train.weight_decay", "weight_decay"),
     ("train.dropout", "dropout"),
@@ -145,7 +144,7 @@ ALL_KEYS = [
 ]
 
 FLOAT_KEYS = [
-    "model.curvature", "train.lr", "train.weight_decay", "train.dropout",
+    "train.lr", "train.weight_decay", "train.dropout",
     "train.label_smoothing", "train.lambda_ent_init",
 ]
 
@@ -211,7 +210,6 @@ class TestConfigFormat:
                               if fields[name] == "float"]
 
     @pytest.mark.parametrize("line,message", [
-        ("model.curvature = 0", "model.curvature must be positive, got 0.0"),
         ("train.lr = 0", "train.lr must be positive, got 0.0"),
         ("train.label_smoothing = 1",
          "train.label_smoothing must be in [0, 1), got 1.0"),
@@ -226,7 +224,7 @@ class TestConfigFormat:
     def test_round_trip_is_exact(self):
         cfg = validate(TrainConfig(
             d=32, heads=8, ff_multiplier=3, variant="hyperbolic",
-            curvature=0.5, batch_size=128, epochs=7, lr=0.003,
+            batch_size=128, epochs=7, lr=0.003,
             weight_decay=0.0, dropout=0.1, label_smoothing=0.0,
             lambda_ent_init=0.02, plateau_patience=4, seed=9, train_path="a",
             valid_path="b", test_path="c"))
@@ -255,7 +253,8 @@ class TestConfigFormat:
                 ("model.d = 8\nmodel.heads = 2\ntrain.adam_eps = 1e-8\n", 3),
                 ("# old run\ntrain.plateau_factor = 0.5\n", 2),
                 ("model.d = 8\n\ntrain.lambda_ent_decay = 0.95\n", 3),
-                ("model.d = 8\ntrain.lambda_ent_min = 0.001\n", 2)]:
+                ("model.d = 8\ntrain.lambda_ent_min = 0.001\n", 2),
+                ("model.d = 8\nmodel.curvature = 1.0\n", 2)]:
             key = text.splitlines()[-1].split(" = ")[0]
             with pytest.raises(ConfigError) as info:
                 parse_config(text, source="x.cfg")
@@ -322,7 +321,6 @@ RULED_KEYS = [
     ("model.d", ">= 1", "0"), ("model.heads", ">= 1", "-2"),
     ("model.ff_multiplier", ">= 1", "0"),
     ("model.variant", VARIANTS, "toroidal"),
-    ("model.curvature", "positive", "-0.5"),
     ("train.batch_size", ">= 1", "0"), ("train.epochs", ">= 1", "0"),
     ("train.lr", "positive", "-1.0"),
     ("train.weight_decay", ">= 0", "-0.001"),
@@ -711,6 +709,28 @@ class TestRouteExportCommand:
         assert target.exists()
         assert f"routing_table={target}" in stdout
 
+    def test_out_in_a_missing_directory_fails_before_the_run_dir(
+            self, trained, tmp_path):
+        missing = tmp_path / "missing" / "dir"
+        out = tmp_path / "rdir"
+        code, stdout, stderr = run_cli([
+            "route-export", "--config", str(trained["config"]),
+            "--checkpoint", str(trained["checkpoint"]),
+            "--out", str(missing / "r.tsv"), "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: path-error: --out directory "
+                          f"{str(missing)!r} does not exist\n")
+        assert not out.exists() and not missing.parent.exists()
+
+    def test_out_in_the_run_dir_it_makes(self, trained, tmp_path):
+        out = tmp_path / "rdir"
+        code, _, err = run_cli([
+            "route-export", "--config", str(trained["config"]),
+            "--checkpoint", str(trained["checkpoint"]),
+            "--out", str(out / "r.tsv"), "--out-dir", str(out)])
+        assert code == 0, err
+        assert (out / "r.tsv").exists()
+
     def test_empty_split_is_invalid_config(self, trained, tmp_path):
         paths = write_dataset(tmp_path)
         (tmp_path / "empty.txt").write_text("", encoding="utf-8")
@@ -892,7 +912,8 @@ class TestErrorSurface:
         cfg = tmp_path / "bad.cfg"
         for text, lineno in [("model.warp = 9\n", 1),
                              ("model.d = 8\nmodel.activation = gelu\n", 2),
-                             ("model.d = 8\ntrain.grad_clip = 1.0\n", 2)]:
+                             ("model.d = 8\ntrain.grad_clip = 1.0\n", 2),
+                             ("model.d = 8\nmodel.curvature = 1.0\n", 2)]:
             cfg.write_text(text, encoding="utf-8")
             code, _, stderr = run_cli(["train", "--config", str(cfg)])
             assert code == 1

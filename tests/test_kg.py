@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from catkg import kg as kg_mod
+from catkg import manifolds as M
 from catkg import tensor as T
 from catkg.config import TrainConfig
 from catkg.errors import (ConfigError, IncompatibilityError, IndexLookupError,
@@ -917,6 +918,14 @@ class TestParameterInventory:
             branch = [pair for pair in cat
                       if pair[0].startswith(f"block.{variant}.")]
             assert pairs(variant) == branch + tables
+
+    @pytest.mark.parametrize("variant", ["cat", "hyperbolic"])
+    def test_ball_has_the_one_model_curvature(self, variant):
+        # No checkpoint tensor records c, so no config key may set it.
+        model = KgModel(10, 3, TrainConfig(d=8, heads=2, variant=variant))
+        ball = model.block.hyperbolic
+        assert ball.c == 1.0
+        assert ball.r_max == math.atanh(1.0 - M.BOUNDARY_EPS)
 
 
 class TestSmoothedCE:
