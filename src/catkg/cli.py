@@ -354,6 +354,8 @@ def _cmd_route_export(args) -> None:
     parent = out_path.parent
     if not (parent.is_dir() or parent == _run_dir(args)):
         raise PathError(f"--out directory {str(parent)!r} does not exist")
+    if out_path.is_dir():
+        raise PathError(f"--out {str(out_path)!r} is a directory")
     out_dir = _out_dir(args)
     t0 = time.perf_counter()
     means = export_routing(model, store, args.split, out_path)

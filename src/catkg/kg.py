@@ -172,8 +172,17 @@ def _first_malformed_line(data: bytes) -> int:
 
 
 def _add_names(index: dict[str, int], names: list[str]) -> None:
-    """Give each name not yet in ``index`` the next id, by first appearance."""
-    new = [name for name in dict.fromkeys(names) if name not in index]
+    """Give each name not yet in ``index`` the next id, by first appearance.
+
+    The index keeps a fresh copy of each new name, not the split's own
+    string. The copies are made while the split's strings still fill
+    their memory pools, so they share few pools with them, and freeing
+    the split's strings hands whole arenas back: at FB15k-237 size the
+    ~14.5k first occurrences, spread over every arena, kept about 40 MiB
+    of the parser's heap resident.
+    """
+    new = [name.encode().decode() for name in dict.fromkeys(names)
+           if name not in index]
     index.update(zip(new, range(len(index), len(index) + len(new))))
 
 
@@ -502,61 +511,83 @@ def _first_nonfinite_row(scores: np.ndarray, flags: np.ndarray) -> int:
 CHECK_BLOCK_ROWS = 16
 
 
+def eval_rows(n_triples: int, n_entities: int) -> int:
+    """Rows of the score buffer that :func:`evaluate` needs for a split of
+    ``n_triples`` ≥ 1 triples: the largest ``tensor.row_parts`` part of
+    its :data:`EVAL_BATCH` batches (512 of FB15k-237's 1,024)."""
+    batches = {min(EVAL_BATCH, n_triples), (n_triples - 1) % EVAL_BATCH + 1}
+    return max(part.stop - part.start for rows in batches
+               for part in T.row_parts(rows, rows * n_entities))
+
+
 def evaluate(store: TripleStore, model: KgModel, split: str,
              out: np.ndarray | None = None) -> Metrics:
     """Filtered MRR / Hits@10 and mean routing weights over a split.
 
-    Runs in eval mode, :data:`EVAL_BATCH` queries per forward; a batch's
-    query forward and head run over the row parts of ``tensor.in_halves``
-    (:meth:`KgModel.query`, ``tensor.inner``). Each batch's scores are
-    ranked row by row and checked for finiteness in one scan, which
-    :func:`tensor.beside` runs beside the ranking on the helper thread or
-    after it in the caller's.
-    A batch counts only once it is all finite; else
+    Runs in eval mode over :data:`EVAL_BATCH` queries at a time. Each
+    batch is scored and ranked in its ``tensor.row_parts``, one part after
+    the other (from ``tensor.BESIDE_FROM`` scores, 512 and the rest of
+    FB15k-237's 1,024 rows), and each part's query forward and head run
+    over the row parts of ``tensor.in_halves`` (:meth:`KgModel.query`,
+    ``tensor.inner``). A part's scores are ranked row by row and checked
+    for finiteness in one scan, which :func:`tensor.beside` runs beside
+    the ranking on the helper thread or after it in the caller's. Every
+    row keeps the bits of one forward over the whole batch, and the
+    routing weights are summed once per batch, so the metrics do not
+    depend on the parts. A part counts only once it is all finite; else
     :class:`NumericsError` names its first non-finite query.
 
-    With ``out``, each batch's scores are written into its leading rows,
+    With ``out``, each part's scores are written into its leading rows,
     which ``tensor.inner`` checks are a C-contiguous float64 array of
     ``n_entities`` columns (else :class:`ShapeError`); without it a new
-    array of ``min(EVAL_BATCH, len(split))`` rows is allocated. The
-    metrics do not depend on which.
+    array of :func:`eval_rows` rows is allocated. The metrics do not
+    depend on which.
     """
     triples = store.nonempty(split, "evaluate")
     recip_sum = 0.0
     hits = 0
     alpha_sum = np.zeros(3)
     index = store.filter_index
-    rows, width = min(EVAL_BATCH, triples.shape[0]), store.n_entities
+    width = store.n_entities
+    rows = eval_rows(triples.shape[0], width)
     if out is None:
         out = np.empty((rows, width))
     flags = np.empty((min(CHECK_BLOCK_ROWS, rows), width), dtype=bool)
     for start in range(0, triples.shape[0], EVAL_BATCH):
         batch = triples[start:start + EVAL_BATCH]
-        lo, hi = index.spans(batch[:, 0], batch[:, 1])
-        logits, alpha = model.score(batch[:, 0], batch[:, 1], training=False,
-                                    out=out[:batch.shape[0]])
-        scores = logits.data
+        alphas = np.empty((batch.shape[0], 3))
+        for part in T.row_parts(batch.shape[0], batch.shape[0] * width):
+            queries = batch[part]
+            lo, hi = index.spans(queries[:, 0], queries[:, 1])
+            logits, alpha = model.score(queries[:, 0], queries[:, 1],
+                                        training=False,
+                                        out=out[:queries.shape[0]])
+            scores = logits.data
+            if alpha is not None:
+                alphas[part] = alpha.data.reshape(-1, 3)
+
+            def rank_rows():
+                return [filtered_rank(row, t, index.tails[first:end])
+                        for row, t, first, end in zip(
+                            scores, queries[:, 2].tolist(), lo.tolist(),
+                            hi.tolist())]
+
+            def check():
+                return _first_nonfinite_row(scores, flags)
+
+            ranks, bad = T.beside(rank_rows, check, scores.size)
+            if bad >= 0:
+                h, r, _ = queries[bad].tolist()
+                raise NumericsError(f"non-finite scores for query ({h}, {r})"
+                                    f" on the {split!r} split")
+            # Every rank of an all-finite part is at least 1. The sums run
+            # in row order, so the metrics keep the bits of one pass over
+            # the rows.
+            for rank in ranks:
+                recip_sum += 1.0 / rank
+                hits += rank <= 10
         if alpha is not None:
-            alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)
-
-        def rank_rows():
-            return [filtered_rank(row, t, index.tails[first:end])
-                    for row, t, first, end in zip(scores, batch[:, 2].tolist(),
-                                                  lo.tolist(), hi.tolist())]
-
-        def check():
-            return _first_nonfinite_row(scores, flags)
-
-        ranks, bad = T.beside(rank_rows, check, scores.size)
-        if bad >= 0:
-            h, r, _ = batch[bad].tolist()
-            raise NumericsError(f"non-finite scores for query ({h}, {r})"
-                                f" on the {split!r} split")
-        # Every rank of an all-finite batch is at least 1. The sums run in
-        # row order, so the metrics keep the bits of one pass over the rows.
-        for rank in ranks:
-            recip_sum += 1.0 / rank
-            hits += rank <= 10
+            alpha_sum += alphas.sum(axis=0)
     n = int(triples.shape[0])
     # A model routes every batch or none, so the last batch tells.
     mean_alpha = (None if alpha is None

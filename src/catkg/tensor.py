@@ -526,12 +526,15 @@ def affine(x, w, b) -> Tensor:
 # AdamW's update of a parameter that large and the untaped eval-mode query
 # as two row parts (in_halves), inner's backward as the query gradient
 # beside the table gradient, and evaluate's finiteness scan beside its rank
-# loop. FB15k-237's heads, eval batches (≥ 256 × 14,541) and entity table
-# (14,541 × 64) reach it; UMLS's (≤ 661 × 135, and no parameter above 2¹⁶
-# entries) stay below, where a second thread costs more than it gives.
+# loop. evaluate also scores and ranks a batch from that size in the same
+# two row parts (row_parts), one after the other, so that its score buffer
+# holds only the first. FB15k-237's heads, eval batches (≥ 256 × 14,541)
+# and entity table (14,541 × 64) reach it; UMLS's (≤ 661 × 135, and no
+# parameter above 2¹⁶ entries) stay below, where a second thread costs
+# more than it gives.
 BESIDE_FROM = 2 ** 18
 
-# Rows that in_halves aligns its first part to. A row that a narrow GEMM
+# Rows that row_parts aligns its first part to. A row that a narrow GEMM
 # (the router's map to three logits) computes gets bits that depend on
 # where it sits in its BLAS kernel's tile of 4 to 16 rows, and a one-row
 # GEMM runs as a GEMV. So the first part is whole tiles and the second has
@@ -598,25 +601,35 @@ def beside(main: Callable[[], _M], side: Callable[[], _S],
     return first, second
 
 
-def in_halves(work: Callable[[slice], object], rows: int,
-              size: int) -> None:
-    """Call ``work(part)`` on row slices of an array of ``rows`` rows and
-    ``size`` entries that together cover every row once.
+def row_parts(rows: int, size: int) -> list[slice]:
+    """The row slices of an array of ``rows`` rows and ``size`` entries
+    that together cover every row once, in row order.
 
-    From :data:`BESIDE_FROM` entries, ``work`` runs over rows [0, h) and
-    over the rest, the second :func:`beside` the first, with
-    h = 16·⌈rows/32⌉ (:data:`TILE_ROWS`) when the rest keeps two rows or
-    more; else once over all rows in the caller. This is the one row
+    From :data:`BESIDE_FROM` entries they are rows [0, h) and the rest,
+    with h = 16·⌈rows/32⌉ (:data:`TILE_ROWS`), when the rest keeps two
+    rows or more; else one slice of all rows. This is the one row
     partition of every two-part job. It depends only on the shape, so a
-    result that depends on it does not depend on the number of CPUs. The
-    two calls must write disjoint rows.
+    result that depends on it does not depend on the number of CPUs.
     """
     half = TILE_ROWS * -(-rows // (2 * TILE_ROWS))
     if rows - half < 2 or size < BESIDE_FROM:
-        work(slice(0, rows))
+        return [slice(0, rows)]
+    return [slice(0, half), slice(half, rows)]
+
+
+def in_halves(work: Callable[[slice], object], rows: int,
+              size: int) -> None:
+    """Call ``work(part)`` on each of the :func:`row_parts` of an array of
+    ``rows`` rows and ``size`` entries: on one part in the caller, on two
+    with the second :func:`beside` the first. The two calls must write
+    disjoint rows.
+    """
+    parts = row_parts(rows, size)
+    if len(parts) == 1:
+        work(parts[0])
     else:
-        beside(lambda: work(slice(0, half)), lambda: work(slice(half, rows)),
-               size)
+        first, second = parts
+        beside(lambda: work(first), lambda: work(second), size)
 
 
 def inner(q, table, out: Array | None = None) -> Tensor:

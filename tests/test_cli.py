@@ -722,6 +722,20 @@ class TestRouteExportCommand:
                           f"{str(missing)!r} does not exist\n")
         assert not out.exists() and not missing.parent.exists()
 
+    def test_out_that_is_a_directory_fails_before_the_run_dir(
+            self, trained, tmp_path):
+        target = tmp_path / "table"
+        target.mkdir()
+        out = tmp_path / "rdir"
+        code, stdout, stderr = run_cli([
+            "route-export", "--config", str(trained["config"]),
+            "--checkpoint", str(trained["checkpoint"]),
+            "--out", str(target), "--out-dir", str(out)])
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: path-error: --out {str(target)!r} is a"
+                          f" directory\n")
+        assert not out.exists() and not any(target.iterdir())
+
     def test_out_in_the_run_dir_it_makes(self, trained, tmp_path):
         out = tmp_path / "rdir"
         code, _, err = run_cli([

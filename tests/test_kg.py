@@ -91,6 +91,16 @@ class TestLoadTriples:
         assert store.test.shape == (1, 3)
         assert store.n_entities == 4 and store.n_relations == 2
 
+    def test_new_names_are_kept_as_copies(self):
+        index = {"a": 0}
+        names = ["bb", "a", "cc", "bb", "dd", "cc"]
+        kg_mod._add_names(index, names)
+        # Ids follow first appearance, and the keys equal the names.
+        assert list(index.items()) == [("a", 0), ("bb", 1), ("cc", 2),
+                                       ("dd", 3)]
+        kept = {key: key for key in index}
+        assert all(kept[name] is not name for name in names[2:])
+
     def test_rows_are_index_triples(self, tmp_path):
         files = make_dataset(tmp_path, train=["x\tr\ty", "y\tr\tx"])
         store = load_triples(files["train"], files["valid"], files["test"])
@@ -1307,13 +1317,21 @@ class TestFilteredRank:
 
 
 class _FixedScoreModel:
-    """Duck-typed stand-in returning pre-set score rows."""
+    """Duck-typed stand-in returning pre-set score rows: ``rows[i]`` for
+    the (head, relation) pair of ``triples[i]``, however many rows each
+    score call asks for. Triples of one pair must have equal rows."""
 
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.float64)
+    def __init__(self, rows, triples):
+        rows = np.asarray(rows, dtype=np.float64)
+        assert len(rows) == len(triples)
+        self.rows = {}
+        for row, (h, r, _) in zip(rows, np.asarray(triples).tolist()):
+            kept = self.rows.setdefault((h, r), row)
+            assert np.array_equal(kept, row, equal_nan=True)
 
     def score(self, heads, relations, training=False, rng=None, out=None):
-        return Tensor(self.rows[:len(heads)]), None
+        pairs = zip(np.asarray(heads).tolist(), np.asarray(relations).tolist())
+        return Tensor(np.array([self.rows[pair] for pair in pairs])), None
 
 
 # Where evaluate's finiteness scan runs, as (CPUs the process may use,
@@ -1365,7 +1383,8 @@ class TestEvaluate:
             [9.0, 5.0, 1.0, 1.0],   # t=1 ranks 2
             [9.0, 8.0, 5.0, 7.0],   # t=2 ranks 4
         ])
-        metrics = evaluate(store, _FixedScoreModel(rows), "train")
+        metrics = evaluate(store, _FixedScoreModel(rows, store.train),
+                           "train")
         assert_allclose(metrics.mrr, 7.0 / 12.0, rtol=1e-15)
         assert metrics.hits_at_10 == 1.0
         assert metrics.n_evaluated == 3
@@ -1386,7 +1405,8 @@ class TestEvaluate:
                 ran_on = self.check_on(m, cpus, threshold)
                 with pytest.raises(NumericsError,
                                    match=rf"query \({row}, 0\)"):
-                    evaluate(store, _FixedScoreModel(rows), "train")
+                    evaluate(store, _FixedScoreModel(rows, store.train),
+                             "train")
             self.assert_ran_on(ran_on, helper)
 
     @pytest.mark.parametrize("path", sorted(CHECK_PATHS))
@@ -1403,7 +1423,7 @@ class TestEvaluate:
         rows[5, 6] = np.inf
         with pytest.raises(NumericsError,
                            match=r"query \(3, 1\) on the 'test' split"):
-            evaluate(store, _FixedScoreModel(rows), "test")
+            evaluate(store, _FixedScoreModel(rows, store.test), "test")
         self.assert_ran_on(ran_on, helper)
 
     def test_empty_split_rejected(self, toy_store):
@@ -1530,10 +1550,110 @@ class TestEvaluate:
                                         (2, math.inf, False)]:
             with monkeypatch.context() as m:
                 ran_on = self.check_on(m, cpus, threshold)
-                fixed.append(evaluate(store, _FixedScoreModel(rows), "test"))
+                fixed.append(evaluate(store,
+                                      _FixedScoreModel(rows, store.test),
+                                      "test"))
             self.assert_ran_on(ran_on, helper)
         assert fixed[0] == fixed[1] == fixed[2]
         assert self.ranking(fixed[0]) == self.ranking(got[0])
+
+    @staticmethod
+    def whole_batch_metrics(store, model, split):
+        """The metrics of one score call per EVAL_BATCH batch, every row
+        ranked with filtered_rank and the routing summed per batch."""
+        triples = store.split(split)
+        recip_sum, hits, alpha_sum = 0.0, 0, np.zeros(3)
+        for start in range(0, triples.shape[0], kg_mod.EVAL_BATCH):
+            batch = triples[start:start + kg_mod.EVAL_BATCH]
+            logits, alpha = model.score(batch[:, 0], batch[:, 1])
+            alpha_sum += alpha.data.reshape(-1, 3).sum(axis=0)
+            for row, (h, r, t) in zip(logits.data, batch.tolist()):
+                rank = filtered_rank(row, t, store.known_tails(h, r))
+                recip_sum += 1.0 / rank
+                hits += rank <= 10
+        n = triples.shape[0]
+        return Metrics(recip_sum / n, hits / n, n,
+                       tuple(float(a) for a in alpha_sum / n))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_row_parts_give_the_whole_batch_metrics(self, monkeypatch, cpus,
+                                                    with_out):
+        # 1,100 test rows of 40 scores stay below the package's threshold,
+        # so the reference scores each batch whole. Patched low, a batch of
+        # 1,024 rows is scored in parts of 512 and the last, of 76 rows,
+        # in parts of 48 and 28.
+        store = build_toy_store(n_entities=40, n_train=1200, n_test=1100)
+        assert kg_mod.EVAL_BATCH * 40 < T.BESIDE_FROM
+        model = KgModel(40, store.n_relations, TrainConfig(d=8, heads=2,
+                                                           seed=5))
+        want = self.whole_batch_metrics(store, model, "test")
+        assert want.mean_alpha is not None
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "BESIDE_FROM", 1)
+        buf = np.empty((kg_mod.eval_rows(1100, 40), 40)) if with_out else None
+        assert kg_mod.eval_rows(1100, 40) == 512
+        seen = []
+        score = model.score
+
+        def spy(heads, relations, training=False, rng=None, out=None):
+            seen.append(out)
+            return score(heads, relations, training, rng, out)
+
+        model.score = spy
+        assert evaluate(store, model, "test", out=buf) == want
+        assert [out.shape[0] for out in seen] == [512, 512, 48, 28]
+        assert all(np.shares_memory(out, seen[0]) for out in seen)
+        if with_out:
+            assert np.shares_memory(seen[0], buf)
+
+    def test_a_last_batch_below_the_threshold_is_one_part(self):
+        # 1,024 rows of 256 scores reach the package's threshold and the
+        # last batch's 900 rows do not: the default buffer holds that
+        # whole batch, more rows than a full batch's first part.
+        assert 1024 * 256 >= T.BESIDE_FROM > 900 * 256
+        assert kg_mod.eval_rows(1024, 256) == 512
+        assert kg_mod.eval_rows(1024 + 900, 256) == 900
+        store = build_toy_store(n_entities=256, n_train=10, n_test=1924)
+        model = KgModel(256, store.n_relations, TrainConfig(d=8, heads=2,
+                                                           seed=5))
+        seen = []
+        score = model.score
+
+        def spy(heads, relations, training=False, rng=None, out=None):
+            seen.append(out.shape[0])
+            return score(heads, relations, training, rng, out)
+
+        model.score = spy
+        assert evaluate(store, model, "test").n_evaluated == 1924
+        assert seen == [512, 512, 900]
+
+    def test_eval_rows_at_the_paper_sizes(self):
+        # FB15k-237's valid and test splits, and UMLS's, whose batches
+        # stay below the package's threshold.
+        assert kg_mod.eval_rows(17535, 14541) == 512
+        assert kg_mod.eval_rows(20466, 14541) == 512
+        assert kg_mod.eval_rows(652, 135) == 652
+        assert kg_mod.eval_rows(661, 135) == 661
+        assert kg_mod.eval_rows(1, 14541) == 1
+
+    def test_peak_is_one_first_part_of_scores(self):
+        # 256 test rows of 8,192 scores reach the package's threshold: the
+        # default buffer holds the first part's 128 rows, 8 MiB, and the
+        # rest of evaluate's allocations stay within 1 MiB.
+        store = build_toy_store(n_entities=8192, n_train=10, n_test=256)
+        model = KgModel(8192, store.n_relations, TrainConfig(d=8, heads=2,
+                                                             seed=4))
+        part = kg_mod.eval_rows(256, 8192) * 8192 * 8
+        assert part == 128 * 8192 * 8
+        evaluate(store, model, "test")
+        tracemalloc.start()
+        try:
+            evaluate(store, model, "test")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part < peak < part + 2 ** 20
 
     def test_untrained_model_ranks_like_chance(self):
         # With random embeddings the true tail is an arbitrary entity, so
@@ -1590,3 +1710,55 @@ def test_umls_sized_runs_start_no_helper_thread():
     umls, forced = (line.split() for line in proc.stdout.splitlines())
     assert not [name for name in umls if name.startswith("catkg-")]
     assert [name for name in forced if name.startswith("catkg-helper")]
+
+
+# Parses the three split files named on the command line and prints how
+# much the resident set grew, in MiB, and the store's array bytes.
+PARSE_GROWTH = """
+import os, sys
+from catkg import kg
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = resident()
+store = kg.load_triples(*sys.argv[1:])
+arrays = sum(a.nbytes for a in (store.train, store.valid, store.test,
+                                store.filter_index.codes,
+                                store.filter_index.tails))
+print((resident() - before) / 2 ** 20, arrays / 2 ** 20, store.n_entities)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_parsing_leaves_the_heap_to_the_store(tmp_path):
+    # 300,000 lines over 15,000 Zipf-distributed entities, so first
+    # occurrences spread over the whole file. A vocabulary that kept the
+    # split's own strings held each of their memory arenas: the resident
+    # set grew by about 71 MiB more than the store's arrays, where the
+    # copies leave about 19 (Python 3.11, glibc).
+    rng = np.random.default_rng(3)
+    weights = 1.0 / np.arange(1, 15001)
+    heads, tails = rng.choice(15000, size=(2, 300000),
+                              p=weights / weights.sum())
+    relations = rng.integers(0, 237, 300000)
+    entities = [f"/m/0{i:x}" for i in range(2 ** 20, 2 ** 20 + 15000)]
+    lines = "".join(f"{entities[h]}\t/r/{r}/kind\t{entities[t]}\n"
+                    for h, r, t in zip(heads.tolist(), relations.tolist(),
+                                       tails.tolist()))
+    train = tmp_path / "train.txt"
+    train.write_text(lines, encoding="utf-8")
+    small = tmp_path / "small.txt"
+    small.write_text(lines[:lines.index("\n") + 1], encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PARSE_GROWTH, str(train),
+                           str(small), str(small)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth, arrays, n_entities = proc.stdout.split()
+    assert int(n_entities) > 14000
+    assert float(growth) < float(arrays) + 36

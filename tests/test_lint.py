@@ -102,7 +102,7 @@ PARTITION_NAMES = ("BESIDE_FROM", "TILE_ROWS")
 def partition_names(source: str, filename: str) -> list[str]:
     """Every name, attribute or import of ``BESIDE_FROM`` or ``TILE_ROWS``
     in the code of ``source`` (not its strings or comments).
-    ``tensor.in_halves`` chooses every row partition and ``tensor.beside``
+    ``tensor.row_parts`` chooses every row partition and ``tensor.beside``
     whether work runs on the helper, so no other module reads either."""
     found = []
     for n in ast.walk(ast.parse(source, filename)):

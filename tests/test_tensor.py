@@ -653,7 +653,7 @@ def record_threads(monkeypatch):
     return calls
 
 
-# The parts in_halves gives each row count at BESIDE_FROM entries: rows
+# The parts row_parts gives each row count at BESIDE_FROM entries: rows
 # [0, 16·⌈rows/32⌉) and the rest when the rest keeps two rows, else all.
 PARTS = {1: [(0, 1)], 17: [(0, 17)], 18: [(0, 16), (16, 18)],
          19: [(0, 16), (16, 19)], 33: [(0, 33)], 34: [(0, 32), (32, 34)],
@@ -686,6 +686,18 @@ class TestInHalves:
             assert threads[0] == caller
             if len(threads) == 2:
                 assert threads[1].startswith("catkg-helper") == (cpus == 2)
+
+    def test_the_parts_are_row_parts(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        for rows, want in PARTS.items():
+            for size in (T.BESIDE_FROM, T.BESIDE_FROM - 1):
+                parts = T.row_parts(rows, size)
+                assert ([(part.start, part.stop, part.step) for part in parts]
+                        == [(start, stop, None) for start, stop, _
+                            in self.parts(rows, size)]), (rows, size)
+            assert [(part.start, part.stop) for part
+                    in T.row_parts(rows, T.BESIDE_FROM)] == want, rows
+            assert T.row_parts(rows, T.BESIDE_FROM - 1) == [slice(0, rows)]
 
     def test_below_beside_from_it_makes_one_call(self, monkeypatch):
         use_cpus(monkeypatch, 2)

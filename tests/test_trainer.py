@@ -438,6 +438,20 @@ class TestTrainLoop:
         assert all(np.shares_memory(out, steps[0]) for out in valid)
         assert all(out.base is steps[0].base for out in steps + valid)
 
+    @pytest.mark.parametrize("batch,rows", [(64, 304), (400, 400)])
+    def test_buffer_rows_follow_the_rule(self, monkeypatch, batch, rows):
+        # 600 valid rows of 600 scores reach the package's threshold, so
+        # validation scores in parts of 304 and 296 rows: the buffer holds
+        # the larger of a step's batch and that first part.
+        store = build_toy_store(n_entities=600, n_train=600, n_valid=600,
+                                n_test=1)
+        assert 600 * 600 >= T.BESIDE_FROM
+        seen = record_out_buffers(monkeypatch)
+        train(store, small_cfg(d=8, epochs=1, batch_size=batch))
+        assert all(out.base.shape == (rows, 600) for _, out in seen)
+        assert ([out.shape[0] for training, out in seen if not training]
+                == [304, 296])
+
     def test_holds_one_scores_array(self):
         # 256 train and valid triples over 8,192 entities: one (256, n)
         # array is 16 MiB, and the parameters, moments and gradients of a
